@@ -7,7 +7,7 @@
 
 #include <random>
 
-#include "batree/ba_tree.h"
+#include "batree/packed_ba_tree.h"
 #include "bptree/agg_btree.h"
 #include "poly/corner_updates.h"
 #include "storage/buffer_pool.h"
@@ -53,7 +53,7 @@ BENCHMARK(BM_AggBTreeDominanceSum)->Arg(10000)->Arg(100000)->Arg(1000000);
 void BM_BaTreeInsert2D(benchmark::State& state) {
   MemPageFile file(8192);
   BufferPool pool(&file, 4096);
-  BaTree<double> tree(&pool, 2);
+  PackedBaTree<double> tree(&pool, 2);
   std::mt19937_64 rng(1);
   std::uniform_real_distribution<double> u(0, 1);
   for (auto _ : state) {
@@ -67,7 +67,7 @@ BENCHMARK(BM_BaTreeInsert2D);
 void BM_BaTreeDominanceSum2D(benchmark::State& state) {
   MemPageFile file(8192);
   BufferPool pool(&file, 4096);
-  BaTree<double> tree(&pool, 2);
+  PackedBaTree<double> tree(&pool, 2);
   std::mt19937_64 rng(1);
   std::uniform_real_distribution<double> u(0, 1);
   std::vector<PointEntry<double>> pts;

@@ -200,28 +200,6 @@ Status ParallelQueryExecutor::RunBatchGrouped(const BatchQueryFn& fn,
   return first_error;
 }
 
-Status ParallelQueryExecutor::RunBatchPinned(BagFile* bag,
-                                             const PinnedQueryFn& fn,
-                                             const std::vector<Box>& queries,
-                                             std::vector<double>* results,
-                                             BatchExecStats* stats,
-                                             BufferPool* pool) {
-  GenerationPin pin;
-  BOXAGG_RETURN_NOT_OK(bag->PinCurrent(&pin));
-  obs::Span span("exec.pinned_batch", "executor");
-  span.SetGeneration(static_cast<int64_t>(pin.generation()));
-  span.SetProbes(static_cast<int64_t>(queries.size()));
-  if (obs::MetricsRegistry* reg = obs::MetricsRegistry::Global()) {
-    reg->GetCounter("executor.pinned_batches")->Inc();
-  }
-  // The pin outlives RunBatch's completion latch, so every worker reads the
-  // same immutable generation; it drops (and may trigger reclamation) only
-  // after the last query has finished.
-  return RunBatch(
-      [&pin, &fn](const Box& box, double* out) { return fn(pin, box, out); },
-      queries, results, stats, pool);
-}
-
 Status ParallelQueryExecutor::RunBatchGroupedPinned(
     BagFile* bag, const PinnedBatchQueryFn& fn,
     const std::vector<Box>& queries, size_t morsel,
@@ -234,6 +212,9 @@ Status ParallelQueryExecutor::RunBatchGroupedPinned(
   if (obs::MetricsRegistry* reg = obs::MetricsRegistry::Global()) {
     reg->GetCounter("executor.pinned_batches")->Inc();
   }
+  // The pin outlives RunBatchGrouped's completion latch, so every worker
+  // reads the same immutable generation; it drops (and may trigger
+  // reclamation) only after the last morsel has finished.
   return RunBatchGrouped(
       [&pin, &fn](const Box* qs, size_t count, double* outs) {
         return fn(pin, qs, count, outs);

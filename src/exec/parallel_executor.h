@@ -41,14 +41,11 @@ using QueryFn = std::function<Status(const Box&, double*)>;
 /// single-box calls.
 using BatchQueryFn = std::function<Status(const Box*, size_t, double*)>;
 
-/// A read-only query answered against a pinned generation snapshot. The pin
-/// is acquired once per batch by RunBatchPinned and shared by every worker —
-/// the function must treat it as read-only shared state (GenerationPin's
-/// const interface is thread-safe).
-using PinnedQueryFn =
-    std::function<Status(const GenerationPin&, const Box&, double*)>;
-
-/// Batched form of PinnedQueryFn (see BatchQueryFn for the batch contract).
+/// A read-only batched query answered against a pinned generation snapshot
+/// (see BatchQueryFn for the batch contract). The pin is acquired once per
+/// batch by RunBatchGroupedPinned and shared by every worker — the function
+/// must treat it as read-only shared state (GenerationPin's const interface
+/// is thread-safe).
 using PinnedBatchQueryFn = std::function<Status(const GenerationPin&,
                                                 const Box*, size_t, double*)>;
 
@@ -110,20 +107,12 @@ class ParallelQueryExecutor {
                          BatchExecStats* stats = nullptr,
                          BufferPool* pool = nullptr);
 
-  /// RunBatch against one pinned generation of `bag`: a single pin is
+  /// RunBatchGrouped against one pinned generation of `bag`: a single pin is
   /// acquired before any worker dispatches and released only after the
-  /// completion latch, so every query in the batch answers from the same
-  /// immutable snapshot even while a writer commits newer generations
-  /// concurrently. Returns the pin-acquisition error without running any
-  /// query if the bag cannot be pinned.
-  Status RunBatchPinned(BagFile* bag, const PinnedQueryFn& fn,
-                        const std::vector<Box>& queries,
-                        std::vector<double>* results,
-                        BatchExecStats* stats = nullptr,
-                        BufferPool* pool = nullptr);
-
-  /// RunBatchGrouped against one pinned generation of `bag` (same pin
-  /// lifecycle as RunBatchPinned: one pin, shared by every morsel).
+  /// completion latch, so every morsel answers from the same immutable
+  /// snapshot even while a writer commits newer generations concurrently.
+  /// Returns the pin-acquisition error without running any query if the bag
+  /// cannot be pinned.
   Status RunBatchGroupedPinned(BagFile* bag, const PinnedBatchQueryFn& fn,
                                const std::vector<Box>& queries, size_t morsel,
                                std::vector<double>* results,

@@ -25,8 +25,8 @@ struct Interval {
 /// \brief Cumulative (and instantaneous) temporal SUM/COUNT/AVG over
 /// interval records.
 ///
-/// `Index` is any 1-d dominance-sum index (AggBTree wrapped by BaTree /
-/// PackedBaTree / EcdfBTree with dims = 1).
+/// `Index` is any 1-d dominance-sum index (AggBTree wrapped by PackedBaTree
+/// or EcdfBTree with dims = 1).
 template <class Index>
 class TemporalAggregator {
  public:

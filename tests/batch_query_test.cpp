@@ -9,7 +9,6 @@
 #include <cstring>
 #include <vector>
 
-#include "batree/ba_tree.h"
 #include "batree/packed_ba_tree.h"
 #include "bptree/agg_btree.h"
 #include "core/box_sum_index.h"
@@ -186,14 +185,6 @@ TEST(BatchBoxSumProperty, EcdfBq) {
   }
 }
 
-TEST(BatchBoxSumProperty, BaTree) {
-  for (int dims = 1; dims <= 3; ++dims) {
-    CheckBatchProperty<BaTree<double>>(
-        dims, 1500, 300u + static_cast<uint32_t>(dims),
-        [](BufferPool* pool, int d) { return BaTree<double>(pool, d); });
-  }
-}
-
 TEST(BatchBoxSumProperty, PackedBaTree) {
   for (int dims = 1; dims <= 3; ++dims) {
     CheckBatchProperty<PackedBaTree<double>>(
@@ -249,11 +240,6 @@ TEST(BatchIoFidelity, EcdfBqBatchOneMatchesSeed) {
   CheckBatchOneIoFidelity<EcdfBTree<double>>([](BufferPool* pool, int d) {
     return EcdfBTree<double>(pool, d, EcdfVariant::kQueryOptimized);
   });
-}
-
-TEST(BatchIoFidelity, BaTreeBatchOneMatchesSeed) {
-  CheckBatchOneIoFidelity<BaTree<double>>(
-      [](BufferPool* pool, int d) { return BaTree<double>(pool, d); });
 }
 
 TEST(BatchIoFidelity, PackedBaTreeBatchOneMatchesSeed) {

@@ -1,129 +1,17 @@
-// Parallel bulk-load equivalence tests (src/exec/bulk_loader.h and the
-// BulkLoadParallel entry points): the parallel builders must be pure
-// functions of their input — same pages, same scans, same query answers as
-// the serial paths, regardless of thread count or scheduling.
+// BA-tree bulk load against one-at-a-time Insert, checked with an exact
+// integer dominance-sum oracle in one to three dimensions.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstring>
 #include <random>
 #include <vector>
 
-#include "batree/ba_tree.h"
-#include "bptree/agg_btree.h"
+#include "batree/packed_ba_tree.h"
 #include "core/point_entry.h"
-#include "exec/bulk_loader.h"
-#include "exec/thread_pool.h"
 #include "storage/buffer_pool.h"
 
 namespace boxagg {
 namespace {
-
-TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {
-  exec::ThreadPool pool(4);
-  constexpr size_t kN = 10000;
-  std::vector<std::atomic<int>> hits(kN);
-  exec::ParallelFor(&pool, kN, [&](size_t i) {
-    hits[i].fetch_add(1, std::memory_order_relaxed);
-  });
-  for (size_t i = 0; i < kN; ++i) ASSERT_EQ(hits[i].load(), 1) << i;
-}
-
-TEST(ParallelForTest, NullPoolRunsSeriallyInOrder) {
-  std::vector<size_t> order;
-  exec::ParallelFor(nullptr, 100, [&](size_t i) { order.push_back(i); });
-  ASSERT_EQ(order.size(), 100u);
-  for (size_t i = 0; i < 100; ++i) EXPECT_EQ(order[i], i);
-}
-
-// Integer-valued entries with many duplicate points: the distinct-point
-// sequence AND the coalesced values must match the serial sort exactly
-// (integer addition is associative, so even the unstable-sort caveat about
-// duplicate summation order cannot show through).
-TEST(ParallelSortTest, MatchesSerialSortAndCoalesce) {
-  std::mt19937 rng(11);
-  std::uniform_int_distribution<int> coord(0, 60);  // dense => duplicates
-  std::vector<PointEntry<double>> entries;
-  for (int i = 0; i < 30000; ++i) {
-    PointEntry<double> e;
-    e.pt = Point(coord(rng), coord(rng));
-    e.value = 1 + rng() % 9;
-    entries.push_back(e);
-  }
-  std::vector<PointEntry<double>> serial = entries;
-  SortAndCoalesce(&serial, 2);
-  exec::ThreadPool pool(4);
-  exec::ParallelSortCoalesce(&entries, 2, &pool);
-  ASSERT_EQ(entries.size(), serial.size());
-  for (size_t i = 0; i < serial.size(); ++i) {
-    ASSERT_TRUE(LexEqual(entries[i].pt, serial[i].pt, 2)) << i;
-    ASSERT_EQ(entries[i].value, serial[i].value) << i;
-  }
-}
-
-TEST(ParallelSortTest, SmallInputTakesTheSerialPathUnchanged) {
-  std::mt19937 rng(12);
-  std::vector<PointEntry<double>> entries;
-  for (int i = 0; i < 100; ++i) {  // below kParallelSortMin
-    entries.push_back({Point(rng() % 10, rng() % 10), 1.0});
-  }
-  std::vector<PointEntry<double>> serial = entries;
-  SortAndCoalesce(&serial, 2);
-  exec::ThreadPool pool(4);
-  exec::ParallelSortCoalesce(&entries, 2, &pool);
-  ASSERT_EQ(entries.size(), serial.size());
-  for (size_t i = 0; i < serial.size(); ++i) {
-    ASSERT_TRUE(LexEqual(entries[i].pt, serial[i].pt, 2));
-    ASSERT_EQ(entries[i].value, serial[i].value);
-  }
-}
-
-// Staged-parallel/commit-serial AggBTree build: page ids, page count, scans
-// and query answers are bit-identical to the serial build.
-TEST(BulkLoadTest, AggBTreeParallelIsBitIdenticalToSerial) {
-  std::mt19937 rng(21);
-  std::uniform_real_distribution<double> uv(0.1, 5);
-  std::vector<AggBTree<double>::Entry> sorted;
-  for (int i = 0; i < 50000; ++i) {
-    sorted.push_back({i * 0.5 + (rng() % 100) * 1e-4, uv(rng)});
-  }
-  std::sort(sorted.begin(), sorted.end(),
-            [](const auto& a, const auto& b) { return a.key < b.key; });
-
-  MemPageFile file_a(512), file_b(512);
-  BufferPool pool_a(&file_a, 4096), pool_b(&file_b, 4096);
-  AggBTree<double> serial(&pool_a), parallel(&pool_b);
-  ASSERT_TRUE(serial.BulkLoad(sorted).ok());
-  exec::ThreadPool tpool(4);
-  ASSERT_TRUE(parallel.BulkLoadParallel(sorted, &tpool).ok());
-
-  EXPECT_EQ(serial.root(), parallel.root());
-  uint64_t pages_a = 0, pages_b = 0;
-  ASSERT_TRUE(serial.PageCount(&pages_a).ok());
-  ASSERT_TRUE(parallel.PageCount(&pages_b).ok());
-  EXPECT_EQ(pages_a, pages_b);
-
-  std::vector<AggBTree<double>::Entry> scan_a, scan_b;
-  ASSERT_TRUE(serial.ScanAll(&scan_a).ok());
-  ASSERT_TRUE(parallel.ScanAll(&scan_b).ok());
-  ASSERT_EQ(scan_a.size(), scan_b.size());
-  ASSERT_EQ(0, std::memcmp(scan_a.data(), scan_b.data(),
-                           scan_a.size() * sizeof(scan_a[0])));
-
-  std::vector<double> qs;
-  for (int i = 0; i < 256; ++i) qs.push_back(i * 97.3);
-  std::vector<double> out_a(qs.size()), out_b(qs.size());
-  ASSERT_TRUE(
-      serial.DominanceSumBatch(qs.data(), qs.size(), out_a.data()).ok());
-  ASSERT_TRUE(
-      parallel.DominanceSumBatch(qs.data(), qs.size(), out_b.data()).ok());
-  ASSERT_EQ(0, std::memcmp(out_a.data(), out_b.data(),
-                           out_a.size() * sizeof(double)));
-
-  EXPECT_TRUE(serial.CheckConsistency().ok());
-  EXPECT_TRUE(parallel.CheckConsistency().ok());
-}
 
 std::vector<PointEntry<double>> IntegerPoints(int n, int dims, uint32_t seed) {
   std::mt19937 rng(seed);
@@ -140,40 +28,6 @@ std::vector<PointEntry<double>> IntegerPoints(int n, int dims, uint32_t seed) {
 
 class BaTreeBulkLoad : public ::testing::TestWithParam<int> {};
 
-TEST_P(BaTreeBulkLoad, ParallelMatchesSerial) {
-  const int dims = GetParam();
-  auto entries = IntegerPoints(12000, dims, 31);
-  MemPageFile file_a(1024), file_b(1024);
-  BufferPool pool_a(&file_a, 8192), pool_b(&file_b, 8192);
-  BaTree<double> serial(&pool_a, dims), parallel(&pool_b, dims);
-  ASSERT_TRUE(serial.BulkLoad(entries).ok());
-  exec::ThreadPool tpool(4);
-  ASSERT_TRUE(parallel.BulkLoadParallel(entries, &tpool).ok());
-
-  EXPECT_TRUE(serial.CheckConsistency().ok());
-  EXPECT_TRUE(parallel.CheckConsistency().ok());
-
-  std::vector<PointEntry<double>> scan_a, scan_b;
-  ASSERT_TRUE(serial.ScanAll(&scan_a).ok());
-  ASSERT_TRUE(parallel.ScanAll(&scan_b).ok());
-  ASSERT_EQ(scan_a.size(), scan_b.size());
-  for (size_t i = 0; i < scan_a.size(); ++i) {
-    ASSERT_TRUE(LexEqual(scan_a[i].pt, scan_b[i].pt, dims)) << i;
-    ASSERT_EQ(scan_a[i].value, scan_b[i].value) << i;
-  }
-
-  std::mt19937 rng(32);
-  std::uniform_int_distribution<int> coord(0, 500);
-  for (int i = 0; i < 200; ++i) {
-    Point q;
-    for (int d = 0; d < dims; ++d) q[d] = coord(rng);
-    double a = 0, b = 0;
-    ASSERT_TRUE(serial.DominanceSum(q, &a).ok());
-    ASSERT_TRUE(parallel.DominanceSum(q, &b).ok());
-    ASSERT_EQ(a, b) << i;
-  }
-}
-
 // Bulk load vs one-at-a-time Insert: different trees are allowed, but both
 // must pass the deep structural audit and agree with the exact integer
 // dominance-sum oracle.
@@ -182,9 +36,8 @@ TEST_P(BaTreeBulkLoad, BulkAndIncrementalAgreeWithOracle) {
   auto entries = IntegerPoints(4000, dims, 41);
   MemPageFile file_a(1024), file_b(1024);
   BufferPool pool_a(&file_a, 8192), pool_b(&file_b, 8192);
-  BaTree<double> bulk(&pool_a, dims), incremental(&pool_b, dims);
-  exec::ThreadPool tpool(4);
-  ASSERT_TRUE(bulk.BulkLoadParallel(entries, &tpool).ok());
+  PackedBaTree<double> bulk(&pool_a, dims), incremental(&pool_b, dims);
+  ASSERT_TRUE(bulk.BulkLoad(entries).ok());
   for (const auto& e : entries) {
     ASSERT_TRUE(incremental.Insert(e.pt, e.value).ok());
   }

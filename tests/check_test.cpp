@@ -8,7 +8,6 @@
 
 #include <random>
 
-#include "batree/ba_tree.h"
 #include "batree/packed_ba_tree.h"
 #include "bptree/agg_btree.h"
 #include "check/checkable.h"
@@ -174,12 +173,12 @@ TEST(RStarTreeCheck, DetectsStaleMbr) {
 }
 
 // ---------------------------------------------------------------------------
-// BaTree
+// BA-tree
 
 TEST(BaTreeCheck, HealthyTreePasses) {
   MemPageFile file(1024);
   BufferPool pool(&file, 512);
-  BaTree<double> tree(&pool, 2);
+  PackedBaTree<double> tree(&pool, 2);
   ASSERT_TRUE(tree.BulkLoad(RandomPoints(2000, 2, 41)).ok());
   EXPECT_TRUE(tree.CheckConsistency().ok());
 }
@@ -187,15 +186,12 @@ TEST(BaTreeCheck, HealthyTreePasses) {
 TEST(BaTreeCheck, DetectsMangledPageType) {
   MemPageFile file(1024);
   BufferPool pool(&file, 512);
-  BaTree<double> tree(&pool, 2);
+  PackedBaTree<double> tree(&pool, 2);
   ASSERT_TRUE(tree.BulkLoad(RandomPoints(2000, 2, 42)).ok());
   TamperPage(&pool, tree.root(),
              [](Page* p) { p->WriteAt<uint16_t>(0, 99); });
   ExpectCorruption(tree.CheckConsistency());
 }
-
-// ---------------------------------------------------------------------------
-// PackedBaTree
 
 TEST(PackedBaTreeCheck, HealthyTreePasses) {
   MemPageFile file(1024);

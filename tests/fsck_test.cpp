@@ -18,6 +18,7 @@
 #include "core/box_sum_index.h"
 #include "storage/buffer_pool.h"
 #include "storage/fault_injection.h"
+#include "temp_path.h"
 #include "workload/generators.h"
 
 namespace boxagg {
@@ -29,7 +30,7 @@ constexpr uint64_t kSlotSize = kPageSize + kPageHeaderSize;
 class FsckTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "fsck_test.bag";
+    path_ = TestTempPath("fsck_test.bag");
     BuildIndex();
   }
   void TearDown() override { std::remove(path_.c_str()); }

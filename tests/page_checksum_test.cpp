@@ -17,6 +17,7 @@
 
 #include "storage/page_file.h"
 #include "storage/page_header.h"
+#include "temp_path.h"
 
 namespace boxagg {
 namespace {
@@ -179,7 +180,7 @@ TEST(PageFileEnvelope, MemBackend) {
 }
 
 TEST(PageFileEnvelope, FileBackend) {
-  const std::string path = ::testing::TempDir() + "envelope_test.pages";
+  const std::string path = TestTempPath("envelope_test.pages");
   BackendEpochRoundTrip([&] {
     std::unique_ptr<FilePageFile> f;
     EXPECT_TRUE(FilePageFile::Open(path, kPageSize, true, &f).ok());
@@ -191,7 +192,7 @@ TEST(PageFileEnvelope, FileBackend) {
 // On-disk bit flips are detected through a real file: write, corrupt the
 // raw bytes, read back.
 TEST(PageFileEnvelope, FileBackendDetectsDiskCorruption) {
-  const std::string path = ::testing::TempDir() + "corrupt_test.pages";
+  const std::string path = TestTempPath("corrupt_test.pages");
   std::unique_ptr<FilePageFile> file;
   ASSERT_TRUE(FilePageFile::Open(path, kPageSize, true, &file).ok());
   PageId id = kInvalidPageId;

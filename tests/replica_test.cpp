@@ -30,6 +30,7 @@
 #include "replica/replica_format.h"
 #include "storage/buffer_pool.h"
 #include "storage/page_file.h"
+#include "temp_path.h"
 #include "workload/generators.h"
 
 namespace {
@@ -379,7 +380,7 @@ TEST(ReplicaTest, CheckConsistencyDetectsHeaderCorruption) {
 TEST(ReplicaTest, FsckRecognizesAndChecksReplicaRoots) {
   constexpr uint32_t kPageSize = 4096;
   constexpr uint64_t kSlotSize = kPageSize + kPageHeaderSize;
-  const std::string path = ::testing::TempDir() + "replica_fsck.bag";
+  const std::string path = TestTempPath("replica_fsck.bag");
   PageId root_phys = kInvalidPageId;
   {
     std::unique_ptr<FilePageFile> file;

@@ -12,6 +12,7 @@
 #include "storage/buffer_pool.h"
 #include "storage/page.h"
 #include "storage/page_file.h"
+#include "temp_path.h"
 
 namespace boxagg {
 namespace {
@@ -79,7 +80,7 @@ TEST(MemPageFileTest, AllocateReadWriteCycle) {
 }
 
 TEST(FilePageFileTest, AllocateReadWriteCycle) {
-  std::string path = ::testing::TempDir() + "/boxagg_pf_test.dat";
+  std::string path = TestTempPath("boxagg_pf_test.dat");
   AllocateReadWriteCycle([&] {
     std::unique_ptr<FilePageFile> f;
     EXPECT_TRUE(FilePageFile::Open(path, 4096, /*truncate=*/true, &f).ok());
@@ -89,7 +90,7 @@ TEST(FilePageFileTest, AllocateReadWriteCycle) {
 }
 
 TEST(FilePageFileTest, PersistsAcrossReopen) {
-  std::string path = ::testing::TempDir() + "/boxagg_pf_reopen.dat";
+  std::string path = TestTempPath("boxagg_pf_reopen.dat");
   {
     std::unique_ptr<FilePageFile> f;
     ASSERT_TRUE(FilePageFile::Open(path, 4096, true, &f).ok());
@@ -111,7 +112,7 @@ TEST(FilePageFileTest, PersistsAcrossReopen) {
 }
 
 TEST(FilePageFileTest, ReadOutOfRangeFails) {
-  std::string path = ::testing::TempDir() + "/boxagg_pf_oob.dat";
+  std::string path = TestTempPath("boxagg_pf_oob.dat");
   std::unique_ptr<FilePageFile> f;
   ASSERT_TRUE(FilePageFile::Open(path, 4096, true, &f).ok());
   Page r(4096);
@@ -476,7 +477,7 @@ TEST(PageFileTest, SetFreeListReplacesAllocationState) {
 }
 
 TEST(FilePageFileTest, CloseIsIdempotentAndDurable) {
-  const std::string path = ::testing::TempDir() + "close_test.pages";
+  const std::string path = TestTempPath("close_test.pages");
   std::unique_ptr<FilePageFile> file;
   ASSERT_TRUE(FilePageFile::Open(path, 512, /*truncate=*/true, &file).ok());
   PageId id = kInvalidPageId;
