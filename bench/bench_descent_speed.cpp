@@ -1,7 +1,8 @@
 // Raw-speed descent path: kernel microbenchmarks (active SIMD backend vs the
-// always-compiled scalar reference) and warm-pool batched descent throughput
-// per corner-transform backend — all measured in ONE run, so every emitted
-// speedup compares binaries-identical inputs.
+// always-compiled scalar reference, and the page-slot Crc32c vs Crc32cRef)
+// and warm-pool batched descent throughput per corner-transform backend —
+// all measured in ONE run, so every emitted speedup compares
+// binaries-identical inputs.
 //
 // Correctness is asserted inline, benchmark-style: every batched descent is
 // byte-compared against sequential Query calls, and every kernel sample
@@ -25,6 +26,7 @@
 #include "core/box_sum_index.h"
 #include "ecdf/ecdf_btree.h"
 #include "simd/simd.h"
+#include "storage/page_header.h"
 
 using namespace boxagg;
 using namespace boxagg::bench;
@@ -115,34 +117,35 @@ void BenchKernels(const Config& cfg, JsonSink* sink, bool* ok) {
                    JsonRunMeta(cfg).c_str()));
   }
 
-  // AccumulateSigned over a batch-sized corner expansion.
+  // Crc32c over page slots (the read-path checksum): the build's kernel
+  // against the slice-by-8 reference.
   {
-    const size_t count = 4096, nparts = 512;
-    std::vector<double> parts(nparts), a(count, 0.0), b(count, 0.0);
-    for (double& v : parts) v = u(rng);
-    std::vector<uint32_t> probe_of(count);
-    for (uint32_t& i : probe_of) i = rng() % nparts;
-    const size_t loops = reps / 64;
+    constexpr size_t kSlot = 8192 + kPageHeaderSize;
+    std::vector<std::vector<uint8_t>> slots(16, std::vector<uint8_t>(kSlot));
+    for (auto& slot : slots) {
+      for (uint8_t& b : slot) b = uint8_t(rng());
+    }
+    const size_t loops = reps / 10;
+    uint32_t sink_ref = 0, sink_act = 0;
     auto t0 = Clock::now();
     for (size_t r = 0; r < loops; ++r) {
-      simd::ref::AccumulateSigned(a.data(), parts.data(), probe_of.data(),
-                                  r % 2 == 0 ? 1.0 : -1.0, count);
+      const uint8_t* slot = slots[r % slots.size()].data();
+      sink_ref ^= Crc32cRef(slot, kSlot, static_cast<uint32_t>(r));
     }
     const double ref_ms = MillisSince(t0);
     t0 = Clock::now();
     for (size_t r = 0; r < loops; ++r) {
-      simd::AccumulateSigned(b.data(), parts.data(), probe_of.data(),
-                             r % 2 == 0 ? 1.0 : -1.0, count);
+      const uint8_t* slot = slots[r % slots.size()].data();
+      sink_act ^= Crc32c(slot, kSlot, static_cast<uint32_t>(r));
     }
     const double act_ms = MillisSince(t0);
-    if (std::memcmp(a.data(), b.data(), count * sizeof(double)) != 0) {
-      std::fprintf(stderr,
-                   "AccumulateSigned diverges from scalar reference\n");
+    if (sink_ref != sink_act) {
+      std::fprintf(stderr, "Crc32c diverges from Crc32cRef\n");
       *ok = false;
     }
-    obs::LogInfo("  accumulate:    scalar=%.1fms %s=%.1fms speedup=%.2fx",
+    obs::LogInfo("  crc32c:        scalar=%.1fms %s=%.1fms speedup=%.2fx",
                  ref_ms, simd::kBackend, act_ms, ref_ms / act_ms);
-    sink->Emit(Fmt("{\"bench\":\"descent\",\"kernel\":\"accumulate_signed\","
+    sink->Emit(Fmt("{\"bench\":\"descent\",\"kernel\":\"crc32c\","
                    "\"backend\":\"%s\",\"reps\":%zu,\"scalar_ms\":%.3f,"
                    "\"simd_ms\":%.3f,\"speedup\":%.3f,%s}",
                    simd::kBackend, loops, ref_ms, act_ms, ref_ms / act_ms,

@@ -1,14 +1,18 @@
 // Portable SIMD kernels for the descent hot path.
 //
-// The wrapper exposes exactly the four operations the trees spend their CPU
-// time on, each with a scalar reference implementation (`simd::ref`) that is
+// The wrapper exposes the four vector kernels the trees spend their CPU time
+// on, each with a scalar reference implementation (`simd::ref`) that is
 // always compiled and a vector implementation selected at build time:
 //
 //   FirstGreater        in-node key search (leaf cutoff + internal routing)
 //   Dominates           dominance test between two points (ECDF leaves)
 //   ContainsHalfOpen    half-open box membership (BA-tree record scans)
-//   AccumulateSigned    corner inclusion-exclusion accumulation
 //   UnpackFixedWidth    fixed-width integer strip decode (compact replicas)
+//
+// AccumulateSigned (corner inclusion-exclusion accumulation) is a plain
+// scalar loop in every build. The page checksum, Crc32c in
+// storage/page_header.h, is selected by the same BOXAGG_SIMD_AVX2 macro:
+// SSE4.2 crc32 there, slice-by-8 everywhere else.
 //
 // Backend selection: the default build compiles only the scalar path, so
 // TSan/ASan/clang-tidy CI and any non-x86 box behave exactly as before.
@@ -27,10 +31,9 @@
 //   * Comparisons use ordered, non-signaling predicates (_CMP_LT_OQ /
 //     _CMP_GE_OQ / _CMP_GT_OQ) which evaluate to false on NaN, matching the
 //     scalar `<`, `>=`, `>` operators exactly.
-//   * AccumulateSigned performs an independent multiply-then-add per lane —
-//     the same two IEEE operations, in the same order, as the scalar loop.
-//     FMA contraction is disabled (-ffp-contract=off rides along with
-//     BOXAGG_NATIVE) so the compiler cannot fuse them.
+//   * FMA contraction is disabled (-ffp-contract=off rides along with
+//     BOXAGG_NATIVE, whose -march=native enables FMA) so the compiler
+//     cannot fuse AccumulateSigned's multiply-then-add.
 
 #ifndef BOXAGG_SIMD_SIMD_H_
 #define BOXAGG_SIMD_SIMD_H_
@@ -113,15 +116,6 @@ inline bool ContainsHalfOpen(const double* lo, const double* hi,
   return true;
 }
 
-/// out[i] += sign * parts[probe_of[i]] — the corner accumulation step.
-inline void AccumulateSigned(double* out, const double* parts,
-                             const uint32_t* probe_of, double sign,
-                             size_t count) {
-  for (size_t i = 0; i < count; ++i) {
-    out[i] += sign * parts[probe_of[i]];
-  }
-}
-
 /// out[i] = base + the little-endian `width`-byte unsigned integer at
 /// src + i*width, for width in [0, 8]; width 0 means every element equals
 /// base and nothing is stored. The replica strip decoder's inner loop.
@@ -193,23 +187,6 @@ inline bool ContainsHalfOpen(const double* lo, const double* hi,
   int at_or_above = _mm256_movemask_pd(
       _mm256_cmp_pd(vp, _mm256_loadu_pd(hi), _CMP_GE_OQ));
   return ((below | at_or_above) & ((1 << dims) - 1)) == 0;
-}
-
-inline void AccumulateSigned(double* out, const double* parts,
-                             const uint32_t* probe_of, double sign,
-                             size_t count) {
-  const __m256d vs = _mm256_set1_pd(sign);
-  size_t i = 0;
-  for (; i + 4 <= count; i += 4) {
-    __m128i idx = _mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(probe_of + i));
-    __m256d vp = _mm256_i32gather_pd(parts, idx, 8);
-    __m256d vo = _mm256_loadu_pd(out + i);
-    _mm256_storeu_pd(out + i, _mm256_add_pd(vo, _mm256_mul_pd(vs, vp)));
-  }
-  for (; i < count; ++i) {
-    out[i] += sign * parts[probe_of[i]];
-  }
 }
 
 /// Widths 1/2/4 widen four lanes per step with cvtepu*_epi64; width 8 is a
@@ -329,21 +306,6 @@ inline bool ContainsHalfOpen(const double* lo, const double* hi,
   return (mask & ((1 << dims) - 1)) == 0;
 }
 
-inline void AccumulateSigned(double* out, const double* parts,
-                             const uint32_t* probe_of, double sign,
-                             size_t count) {
-  const float64x2_t vs = vdupq_n_f64(sign);
-  size_t i = 0;
-  for (; i + 2 <= count; i += 2) {
-    float64x2_t vp = {parts[probe_of[i]], parts[probe_of[i + 1]]};
-    float64x2_t vo = vld1q_f64(out + i);
-    vst1q_f64(out + i, vaddq_f64(vo, vmulq_f64(vs, vp)));
-  }
-  for (; i < count; ++i) {
-    out[i] += sign * parts[probe_of[i]];
-  }
-}
-
 /// Widths 4 and 8 (the common dictionary-index and raw strips) widen two
 /// lanes per step; other widths take the scalar tail, which computes the
 /// identical base + LE(src) sum.
@@ -401,18 +363,23 @@ inline bool ContainsHalfOpen(const double* lo, const double* hi,
   return ref::ContainsHalfOpen(lo, hi, p, dims);
 }
 
-inline void AccumulateSigned(double* out, const double* parts,
-                             const uint32_t* probe_of, double sign,
-                             size_t count) {
-  ref::AccumulateSigned(out, parts, probe_of, sign, count);
-}
-
 inline void UnpackFixedWidth(const uint8_t* src, uint32_t count,
                              uint32_t width, uint64_t base, uint64_t* out) {
   ref::UnpackFixedWidth(src, count, width, base, out);
 }
 
 #endif
+
+/// out[i] += sign * parts[probe_of[i]] — the corner accumulation step.
+/// Scalar in every build: an AVX2 gather version measured 0.78x of this
+/// loop and was removed.
+inline void AccumulateSigned(double* out, const double* parts,
+                             const uint32_t* probe_of, double sign,
+                             size_t count) {
+  for (size_t i = 0; i < count; ++i) {
+    out[i] += sign * parts[probe_of[i]];
+  }
+}
 
 // Point-typed conveniences (Point carries exactly kMaxDims doubles, so the
 // readability precondition of the raw overloads always holds).

@@ -38,9 +38,17 @@ inline constexpr uint32_t kPageOffId = 8;
 inline constexpr uint32_t kPageOffEpoch = 16;
 inline constexpr uint32_t kPageOffReserved = 24;
 
-/// CRC32C (Castagnoli), slice-by-8. Chainable: pass the previous return
-/// value as `crc` to extend a checksum over discontiguous buffers.
+/// CRC32C (Castagnoli). Chainable: pass the previous return value as `crc`
+/// to extend a checksum over discontiguous buffers. Builds that define
+/// BOXAGG_SIMD_AVX2 (simd/simd.h) run three interleaved SSE4.2 `crc32`
+/// streams; every other build runs Crc32cRef. Both return identical values,
+/// so stored checksums do not depend on the build.
 uint32_t Crc32c(const void* data, size_t n, uint32_t crc = 0);
+
+/// Portable slice-by-8 CRC32C with the same contract as Crc32c: the only
+/// path in scalar and NEON builds, and the reference the tests and the
+/// kernel microbenchmark compare the hardware path against.
+uint32_t Crc32cRef(const void* data, size_t n, uint32_t crc = 0);
 
 /// Fills `slot` (kPageHeaderSize + page_size bytes) with an encoded header
 /// followed by a copy of `payload` (page_size bytes). The CRC covers the

@@ -1,5 +1,7 @@
 // The durability envelope (storage/page_header.h): CRC32C correctness
-// against the standard test vector, slot encode/decode round trips, and —
+// against the standard and RFC 3720 test vectors and, for the build's
+// Crc32c kernel, against the slice-by-8 Crc32cRef; a golden slot CRC that
+// pins the on-disk format; slot encode/decode round trips, and —
 // the property the crash story rests on — 100% detection of every
 // single-bit flip and every torn-write prefix of a page slot, plus
 // misdirected-write and lost-write (zeroed-slot) classification. Runs the
@@ -12,6 +14,7 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -39,6 +42,54 @@ TEST(Crc32c, ChainingMatchesOneShot) {
   }
 }
 
+TEST(Crc32c, Rfc3720Vectors) {
+  // RFC 3720 appendix B.4: the iSCSI CRC32C test vectors.
+  uint8_t buf[32];
+  std::memset(buf, 0x00, sizeof(buf));
+  EXPECT_EQ(Crc32c(buf, sizeof(buf)), 0x8A9136AAu);
+  EXPECT_EQ(Crc32cRef(buf, sizeof(buf)), 0x8A9136AAu);
+  std::memset(buf, 0xFF, sizeof(buf));
+  EXPECT_EQ(Crc32c(buf, sizeof(buf)), 0x62A8AB43u);
+  EXPECT_EQ(Crc32cRef(buf, sizeof(buf)), 0x62A8AB43u);
+  for (int i = 0; i < 32; ++i) buf[i] = uint8_t(i);
+  EXPECT_EQ(Crc32c(buf, sizeof(buf)), 0x46DD794Eu);
+  EXPECT_EQ(Crc32cRef(buf, sizeof(buf)), 0x46DD794Eu);
+  for (int i = 0; i < 32; ++i) buf[i] = uint8_t(31 - i);
+  EXPECT_EQ(Crc32c(buf, sizeof(buf)), 0x113FDB5Cu);
+  EXPECT_EQ(Crc32cRef(buf, sizeof(buf)), 0x113FDB5Cu);
+}
+
+TEST(Crc32c, MatchesRefOnRandomBuffers) {
+  // Offsets 0..63 cover every load alignment; lengths up to 9,000 cover
+  // the interleaved 768-byte rounds, the 8-byte tail and the byte tail.
+  std::mt19937_64 rng(13);
+  std::vector<uint8_t> buf(64 + 9000);
+  for (uint8_t& b : buf) b = uint8_t(rng());
+  for (int iter = 0; iter < 12000; ++iter) {
+    const size_t off = rng() % 64;
+    const size_t len = rng() % 9001;
+    const uint32_t seed = uint32_t(rng());
+    ASSERT_EQ(Crc32c(buf.data() + off, len, seed),
+              Crc32cRef(buf.data() + off, len, seed))
+        << "off=" << off << " len=" << len << " seed=" << seed;
+  }
+}
+
+TEST(Crc32c, ChainingMatchesRefAtEverySplitOfASlot) {
+  const size_t n = 8192 + kPageHeaderSize;
+  std::mt19937_64 rng(14);
+  std::vector<uint8_t> buf(n);
+  for (uint8_t& b : buf) b = uint8_t(rng());
+  const uint32_t whole = Crc32cRef(buf.data(), n);
+  ASSERT_EQ(Crc32c(buf.data(), n), whole);
+  for (size_t split = 0; split <= n; ++split) {
+    ASSERT_EQ(Crc32c(buf.data() + split, n - split,
+                     Crc32c(buf.data(), split)),
+              whole)
+        << "split=" << split;
+  }
+}
+
 std::vector<uint8_t> MakePayload(uint8_t fill) {
   std::vector<uint8_t> payload(kPageSize, fill);
   for (uint32_t i = 0; i < kPageSize; i += 7) payload[i] = uint8_t(i);
@@ -56,6 +107,28 @@ TEST(PageSlot, EncodeDecodeRoundTrip) {
                   .ok());
   EXPECT_EQ(out, payload);
   EXPECT_EQ(epoch, 7u);
+}
+
+TEST(PageSlot, GoldenSlotCrcIsStable) {
+  // Pins the on-disk format: the stored CRC of one fixed 8 KB page must stay
+  // the value the slice-by-8 implementation has always written, whichever
+  // Crc32c kernel this build selected.
+  const uint32_t page_size = 8192;
+  std::vector<uint8_t> payload(page_size);
+  for (uint32_t i = 0; i < page_size; ++i) {
+    payload[i] = uint8_t(i * 131u + (i >> 8));
+  }
+  std::vector<uint8_t> slot(page_size + kPageHeaderSize);
+  EncodePageSlot(slot.data(), page_size, /*id=*/0x1234567, /*epoch=*/0x9abcdef,
+                 payload.data());
+  uint32_t crc;
+  std::memcpy(&crc, slot.data() + kPageOffCrc, sizeof(crc));
+  EXPECT_EQ(crc, 0x93504DE9u);
+  std::vector<uint8_t> out(page_size);
+  ASSERT_TRUE(DecodePageSlot(slot.data(), page_size, 0x1234567, out.data(),
+                             nullptr)
+                  .ok());
+  EXPECT_EQ(out, payload);
 }
 
 TEST(PageSlot, ZeroSlotDecodesAsNeverWritten) {

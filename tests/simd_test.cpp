@@ -134,27 +134,6 @@ TEST(SimdTest, ContainsHalfOpenMatchesRefIncludingNaN) {
   }
 }
 
-TEST(SimdTest, AccumulateSignedIsBitwiseIdenticalToRef) {
-  std::mt19937 rng(105);
-  std::uniform_real_distribution<double> u(-1e9, 1e9);
-  for (int iter = 0; iter < 200; ++iter) {
-    const size_t count = rng() % 70;  // crosses the vector-width remainder
-    const size_t nparts = 1 + rng() % 17;
-    std::vector<double> parts(nparts);
-    for (double& v : parts) v = u(rng);
-    std::vector<uint32_t> probe_of(count);
-    for (uint32_t& i : probe_of) i = rng() % nparts;
-    std::vector<double> a(count), b(count);
-    for (size_t i = 0; i < count; ++i) a[i] = b[i] = u(rng);
-    const double sign = rng() % 2 == 0 ? 1.0 : -1.0;
-    simd::AccumulateSigned(a.data(), parts.data(), probe_of.data(), sign,
-                           count);
-    simd::ref::AccumulateSigned(b.data(), parts.data(), probe_of.data(), sign,
-                                count);
-    ASSERT_EQ(0, std::memcmp(a.data(), b.data(), count * sizeof(double)));
-  }
-}
-
 // End-to-end: with the active backend wired into every descent, a batched
 // query must still be bitwise identical to issuing the queries one at a time
 // (the batch contract the seed established, now holding per backend).
