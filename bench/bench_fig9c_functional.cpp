@@ -6,6 +6,8 @@
 // bigger index), and the BA-tree remains drastically faster than the
 // aR-tree at both degrees.
 
+#include <utility>
+
 #include "batree/packed_ba_tree.h"
 #include "bench/common.h"
 #include "bench/suite.h"
@@ -88,14 +90,17 @@ int main() {
   obs::LogInfo("execution time = CPU + I/Os x 10ms, %zu queries:",
                cfg.queries);
   obs::LogInfo("  %-8s %14s %12s", "index", "exec time(ms)", "I/Os");
-  obs::LogInfo("  %-8s %14.1f %12llu", "BATd0", bat_d0.model_ms,
-               static_cast<unsigned long long>(bat_d0.ios));
-  obs::LogInfo("  %-8s %14.1f %12llu", "aRd0", ar_d0.model_ms,
-               static_cast<unsigned long long>(ar_d0.ios));
-  obs::LogInfo("  %-8s %14.1f %12llu", "BATd2", bat_d2.model_ms,
-               static_cast<unsigned long long>(bat_d2.ios));
-  obs::LogInfo("  %-8s %14.1f %12llu", "aRd2", ar_d2.model_ms,
-               static_cast<unsigned long long>(ar_d2.ios));
+  // The table goes to stderr; stdout carries one BASELINE line per index
+  // with its I/O count, which CI diffs against
+  // bench/baselines/fig9c_io_small.txt.
+  const std::pair<const char*, const Cell*> rows[] = {
+      {"BATd0", &bat_d0}, {"aRd0", &ar_d0}, {"BATd2", &bat_d2},
+      {"aRd2", &ar_d2}};
+  for (const auto& [name, cell] : rows) {
+    const auto ios = static_cast<unsigned long long>(cell->ios);
+    obs::LogInfo("  %-8s %14.1f %12llu", name, cell->model_ms, ios);
+    std::printf("BASELINE index=%s ios=%llu\n", name, ios);
+  }
   obs::LogInfo(
       "paper shape check: BAT faster than aR at degree 0 (x%.1f) and degree "
       "2 (x%.1f); degree 2 costlier than degree 0 for BAT=%s",

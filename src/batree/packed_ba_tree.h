@@ -161,103 +161,23 @@ class PackedBaTree {
     return Status::OK();
   }
 
-  // LINT:hot-path — descent: no heap allocation past warm-up (lint.sh)
   /// Total value of all points dominated by `q`. A +infinity coordinate
   /// (an unbounded query side) is clamped to the largest finite double,
   /// which dominates every storable point, so half-space and whole-space
   /// queries work.
-  Status DominanceSum(const Point& query, V* out,
-                      unsigned obs_level = 0) const {
-    *out = V{};
-    if (root_ == kInvalidPageId) return Status::OK();
-    Point q = query;
-    for (int d = 0; d < dims_; ++d) {
-      q[d] = std::min(q[d], std::numeric_limits<double>::max());
-    }
-    if (dims_ == 1) {
-      AggBTree<V> base(pool_, root_, view_);
-      return base.DominanceSum(q[0], out, obs_level);
-    }
-    PageId pid = root_;
-    for (unsigned level = obs_level;; ++level) {
-      // Spilled-border queries below need their own pins; collect them while
-      // the node page is mapped, then run them unpinned.
-      core::ArenaScope scope(core::ScratchArena());
-      core::ArenaVector<std::pair<int, PageId>> tree_borders;
-      PageId next = kInvalidPageId;
-      {
-        PageGuard g;
-        BOXAGG_RETURN_NOT_OK(FetchNode(pid, &g));
-        obs::NoteNodeVisit(level);
-        const Page* page = g.page();
-        if (PageType(page) == kLeaf) {
-          uint32_t n = LeafCount(page);
-          for (uint32_t i = 0; i < n; ++i) {
-            Point pt = LeafPoint(page, i);
-            if (simd::Dominates(q, pt, dims_)) {
-              V v;
-              ReadLeafValue(page, i, &v);
-              *out += v;
-            }
-          }
-          return Status::OK();
-        }
-        uint32_t n = IntCount(page);
-        bool found = false;
-        for (uint32_t i = 0; i < n && !found; ++i) {
-          Box box = RecBox(page, i);
-          if (!simd::ContainsHalfOpen(box, q, dims_)) continue;
-          found = true;
-          V sub;
-          ReadRecSubtotal(page, i, &sub);
-          *out += sub;
-          for (int b = 0; b < dims_; ++b) {
-            uint64_t ref = RecBorderRef(page, i, b);
-            if (ref == kEmptyRef) continue;
-            Point projected = q.DropDim(b, dims_);
-            if (IsInlineRef(ref)) {
-              // In-page scan: zero extra I/O — the packing payoff. Entries
-              // are copied out (ReadBlockEntry) before the vector compare:
-              // a packed block near the page end may hold fewer than
-              // kMaxDims doubles per entry, so in-place loads could overrun.
-              uint32_t off = InlineOffset(ref);
-              uint32_t cnt = BlockCount(page, off);
-              for (uint32_t k = 0; k < cnt; ++k) {
-                Point pt;
-                V v;
-                ReadBlockEntry(page, off, k, &pt, &v);
-                if (simd::Dominates(projected, pt, dims_ - 1)) *out += v;
-              }
-            } else {
-              tree_borders.push_back({b, static_cast<PageId>(ref)});
-            }
-          }
-          next = RecChild(page, i);
-        }
-        if (!found) {
-          return Status::Corruption("query point not covered by any record");
-        }
-      }
-      for (auto [b, tree_root] : tree_borders) {
-        obs::NoteBorderProbes(1);
-        V part;
-        BOXAGG_RETURN_NOT_OK(
-            BorderTreeQuery(tree_root, q.DropDim(b, dims_), &part, level + 1));
-        *out += part;
-      }
-      pid = next;
-    }
+  Status DominanceSum(const Point& q, V* out) const {
+    return DominanceSumBatch(&q, 1, out);
   }
 
-  /// Batched dominance sums: outs[i] = DominanceSum(queries[i]),
-  /// bit-identical to `count` independent calls — each probe performs the
-  /// same subtotal, inline-border, spilled-border, and leaf additions in the
-  /// same order; only the traversal order across probes and the page-fetch
-  /// count change. Probes are gathered per record in page order (first
-  /// containing record wins, like the sequential scan); inline borders are
-  /// scanned in-page while the node is pinned, spilled border trees are
-  /// probed with sub-batches after the pin is dropped — mirroring the
-  /// sequential pin discipline exactly, so count == 1 reproduces seed I/O.
+  // LINT:hot-path — descent: no heap allocation past warm-up (lint.sh)
+  /// Batched dominance sums: outs[i] = DominanceSum(queries[i]). The result
+  /// of every probe is bit-identical whatever batch it rides in — each probe
+  /// performs the same subtotal, inline-border, spilled-border, and leaf
+  /// additions in the same order; only the traversal order across probes
+  /// and the page-fetch count change. Probes are gathered per record in
+  /// page order (first containing record wins); inline borders are scanned
+  /// in-page while the node is pinned, spilled border trees are probed with
+  /// sub-batches after the pin is dropped.
   Status DominanceSumBatch(const Point* queries, size_t count, V* outs,
                            unsigned obs_level = 0) const {
     for (size_t i = 0; i < count; ++i) outs[i] = V{};
@@ -675,10 +595,10 @@ class PackedBaTree {
   /// One node of the batched descent: `idx[0..m)` are probe indices (already
   /// clamped queries) whose paths all pass through `pid`. Probes are
   /// assigned to the FIRST record whose box contains them, in page order.
-  /// Per-probe arithmetic matches DominanceSum exactly: subtotal, inline
-  /// borders scanned in ascending dimension order while the node is pinned,
-  /// then spilled border trees in the same dimension order after the pin is
-  /// dropped, then the descent's contributions.
+  /// Each probe adds its subtotal, then its inline borders in ascending
+  /// dimension order while the node is pinned, then its spilled border trees
+  /// in the same dimension order after the pin is dropped, then the
+  /// descent's contributions.
   Status DominanceBatchRec(PageId pid, const uint32_t* idx, size_t m,
                            const Point* qs, V* outs,
                            unsigned obs_level = 0) const {
@@ -761,8 +681,7 @@ class PackedBaTree {
         return Status::Corruption("query point not covered by any record");
       }
     }
-    // Spilled borders of this node before any descent, like the sequential
-    // loop's per-level tree_borders pass.
+    // Spilled borders of this node before any descent.
     core::ArenaVector<Point> pts;
     core::ArenaVector<V> parts;
     for (const Group& gr : groups) {
@@ -793,12 +712,6 @@ class PackedBaTree {
 
   // LINT:hot-path-end
   // ---- border image operations --------------------------------------------
-
-  Status BorderTreeQuery(PageId tree_root, const Point& q, V* out,
-                         unsigned obs_level = 0) const {
-    PackedBaTree sub(pool_, dims_ - 1, tree_root, view_);
-    return sub.DominanceSum(q, out, obs_level);
-  }
 
   Status BorderImageInsert(BorderImage* b, const Point& projected,
                            const V& v) {

@@ -138,54 +138,23 @@ class AggBTree {
     return Status::OK();
   }
 
-  // LINT:hot-path — descent: no heap allocation past warm-up (lint.sh)
   /// Sum of values over all keys <= q. An empty tree yields V{}.
+  Status DominanceSum(double q, V* out) const {
+    return DominanceSumBatch(&q, 1, out);
+  }
+
+  // LINT:hot-path — descent: no heap allocation past warm-up (lint.sh)
+  /// Batched dominance sums: outs[i] = sum of values over keys <= qs[i]. The
+  /// result of every probe is bit-identical whatever batch it rides in —
+  /// each probe performs the same per-node additions in the same order; only
+  /// the traversal order across probes and the page-fetch count change.
+  /// Probes are routed in sorted key order and grouped by child, so each
+  /// tree page is fetched and pinned at most once per batch. With count == 1
+  /// the descent fetches one node per level, root to leaf.
   ///
   /// `obs_level` offsets the per-level node-visit attribution (obs/): a
   /// border sub-tree embedded at parent level L passes L+1 so its root
   /// counts at the depth it actually sits in the composite structure.
-  Status DominanceSum(double q, V* out, unsigned obs_level = 0) const {
-    *out = V{};
-    if (root_ == kInvalidPageId) return Status::OK();
-    const uint32_t page_size = pool_->file()->page_size();
-    PageId pid = root_;
-    for (unsigned level = obs_level;; ++level) {
-      PageGuard g;
-      BOXAGG_RETURN_NOT_OK(FetchNode(pid, &g));
-      obs::NoteNodeVisit(level);
-      const Page* p = g.page();
-      const uint8_t* base = p->data();
-      uint32_t n = Count(p);
-      if (Type(p) == kLeaf) {
-        const double* keys =
-            reinterpret_cast<const double*>(base + kHeaderSize);
-        const uint32_t cut = simd::FirstGreater(keys, n, q);
-        const uint8_t* vals = base + LeafValueOffset(page_size, 0);
-        for (uint32_t i = 0; i < cut; ++i) {
-          V v;
-          std::memcpy(&v, vals + size_t{i} * sizeof(V), sizeof(V));
-          *out += v;
-        }
-        return Status::OK();
-      }
-      uint32_t idx = RouteInternal(p, n, q);
-      const uint8_t* recs = base + InternalChildOffset(page_size, 0);
-      for (uint32_t i = 0; i < idx; ++i) {
-        V s;
-        std::memcpy(&s, recs + size_t{i} * kInternalRec + 8, sizeof(V));
-        *out += s;
-      }
-      std::memcpy(&pid, recs + size_t{idx} * kInternalRec, sizeof(PageId));
-    }
-  }
-
-  /// Batched dominance sums: outs[i] = sum of values over keys <= qs[i],
-  /// bit-identical to `count` independent DominanceSum calls — every probe
-  /// performs the same per-node additions in the same order; only the
-  /// traversal order across probes and the page-fetch count change. Probes
-  /// are routed in sorted key order and grouped by child, so each tree page
-  /// is fetched and pinned at most once per batch. With count == 1 the
-  /// fetch/pin sequence is exactly DominanceSum's (seed I/O fidelity).
   Status DominanceSumBatch(const double* qs, size_t count, V* outs,
                            unsigned obs_level = 0) const {
     for (size_t i = 0; i < count; ++i) outs[i] = V{};
@@ -331,7 +300,7 @@ class AggBTree {
   /// keys/lowkeys, routing bounds (every subtree's keys stay inside its
   /// record's [lowkey_i, lowkey_{i+1}) range; entry 0's lowkey acts as
   /// -infinity), uniform leaf depth, and the subtree-sum identity every
-  /// internal record must satisfy for DominanceSum's prefix shortcut to be
+  /// internal record must satisfy for the descent's prefix shortcut to be
   /// correct. Pass a shared `ctx` to audit several structures over one file
   /// (cross-structure page-ownership checks); nullptr uses a local context.
   Status CheckConsistency(CheckContext* ctx = nullptr) const {
@@ -595,9 +564,9 @@ class AggBTree {
 
   // LINT:hot-path — descent: no heap allocation past warm-up (lint.sh)
   /// One node of the batched descent: `idx[0..m)` are probe indices sorted
-  /// by key whose paths all pass through `pid`. The node is fetched once;
-  /// per-probe arithmetic matches DominanceSum exactly. The pin is dropped
-  /// before descending, like the sequential loop's per-iteration guard.
+  /// by key whose paths all pass through `pid`. The node is fetched once,
+  /// and its pin is dropped before descending, so a descent holds at most
+  /// one pin per tree.
   /// Scratch comes from the thread-local arena (zero heap traffic once
   /// warm); before descending into a group, the next group's child page is
   /// software-prefetched so its header and key strip are in cache when its

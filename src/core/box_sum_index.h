@@ -65,7 +65,8 @@ inline double MaskSign(uint32_t mask) {
 
 /// \brief Simple box-sum index over 2^d dominance-sum indexes.
 ///
-/// `Index` must provide Insert(Point, double), DominanceSum(Point, double*),
+/// `Index` must provide Insert(Point, double),
+/// DominanceSumBatch(const Point*, size_t, double*) const,
 /// BulkLoad(vector<PointEntry<double>>), PageCount(uint64_t*), Destroy(),
 /// all returning Status. Construct with a factory so the caller controls the
 /// underlying structure (variant, buffer pool, dimensionality).
@@ -98,9 +99,8 @@ class BoxSumIndex {
 
   /// Total value of all objects whose box intersects `q` (closed semantics):
   /// exactly 2^d dominance-sum queries combined with inclusion-exclusion.
-  /// Routed through the batched path with count == 1 so the single-query and
-  /// batch code paths cannot drift; the I/O sequence is identical to calling
-  /// DominanceSum per sign index directly.
+  /// Routed through the batched path with count == 1, so there is one query
+  /// path: one single-probe descent per sign index.
   Status Query(const Box& q, double* out) const {
     return QueryBatch(&q, 1, out);
   }
@@ -109,12 +109,12 @@ class BoxSumIndex {
   /// Batched box sums: out[i] = Query(qs[i]), bit-identical to `count`
   /// independent Query calls. All queries are expanded into (sign index,
   /// corner point) probes, grouped per sign index, and identical corner
-  /// points within a sign index are deduplicated — DominanceSum is a pure
+  /// points within a sign index are deduplicated — a dominance sum is a pure
   /// function of (index, point), so each distinct probe is answered once and
   /// its value reused (degenerate boxes and repeated queries collide often).
   /// Each index then answers its probes with one DominanceSumBatch descent.
-  /// Accumulation per query stays in ascending sign-index order, exactly as
-  /// the sequential loop.
+  /// Accumulation per query stays in ascending sign-index order, whatever
+  /// the batch size.
   Status QueryBatch(const Box* qs, size_t count, double* out) const {
     for (size_t i = 0; i < count; ++i) out[i] = 0;
     if (count == 0) return Status::OK();

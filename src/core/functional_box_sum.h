@@ -27,8 +27,9 @@ namespace boxagg {
 /// \brief Functional box-sum over one polynomial-valued dominance index.
 ///
 /// `Index` must provide Insert(Point, Poly2<DEG>),
-/// DominanceSum(Point, Poly2<DEG>*), BulkLoad(vector<PointEntry<Poly2<DEG>>>),
-/// PageCount, Destroy.
+/// DominanceSum(Point, Poly2<DEG>*) — in every tree a one-probe
+/// DominanceSumBatch — BulkLoad(vector<PointEntry<Poly2<DEG>>>), PageCount,
+/// Destroy.
 template <class Index, int DEG>
 class FunctionalBoxSumIndex {
  public:

@@ -156,70 +156,24 @@ class EcdfBTree {
     return Status::OK();
   }
 
-  // LINT:hot-path — descent: no heap allocation past warm-up (lint.sh)
   /// Total value of all points dominated by `q` (Sec. 2 semantics).
+  Status DominanceSum(const Point& q, V* out) const {
+    return DominanceSumBatch(&q, 1, out);
+  }
+
+  // LINT:hot-path — descent: no heap allocation past warm-up (lint.sh)
+  /// Batched dominance sums: outs[i] = total value of points dominated by
+  /// qs[i]. The result of every probe is bit-identical whatever batch it
+  /// rides in — each probe performs the same border and leaf additions in
+  /// the same order; only the traversal order across probes and the
+  /// page-fetch count change. Probes are sorted by the dim-0 key so the main
+  /// branch routes them monotonically: each node is fetched once per batch,
+  /// and border subtrees are themselves probed with sub-batches (recursively
+  /// down to the 1-d AggBTree base case).
   ///
   /// `obs_level` offsets the per-level node-visit attribution (obs/):
   /// border sub-trees hanging off level L are probed at level L+1, so the
   /// composite structure's depth breakdown stays consistent.
-  Status DominanceSum(const Point& q, V* out, unsigned obs_level = 0) const {
-    *out = V{};
-    if (root_ == kInvalidPageId) return Status::OK();
-    if (dims_ == 1) {
-      AggBTree<V> base(pool_, root_, view_);
-      return base.DominanceSum(q[0], out, obs_level);
-    }
-    PageId pid = root_;
-    Point projected = q.DropDim(0, dims_);
-    for (unsigned level = obs_level;; ++level) {
-      PageGuard g;
-      BOXAGG_RETURN_NOT_OK(FetchNode(pid, &g));
-      obs::NoteNodeVisit(level);
-      const Page* p = g.page();
-      uint32_t n = Count(p);
-      if (Type(p) == kLeaf) {
-        for (uint32_t i = 0; i < n; ++i) {
-          Point pt = LeafPoint(p, i);
-          if (pt[0] > q[0]) break;
-          if (simd::Dominates(q, pt, dims_)) {
-            V v;
-            ReadLeafValue(p, i, &v);
-            *out += v;
-          }
-        }
-        return Status::OK();
-      }
-      uint32_t idx = RouteInternal(p, n, q[0]);
-      if (variant_ == EcdfVariant::kUpdateOptimized) {
-        // Sum the borders of every child left of the path.
-        if (idx > 0) obs::NoteBorderProbes(idx);
-        for (uint32_t i = 0; i < idx; ++i) {
-          V part;
-          EcdfBTree sub(pool_, dims_ - 1, variant_, InternalBorder(p, i), view_);
-          BOXAGG_RETURN_NOT_OK(sub.DominanceSum(projected, &part, level + 1));
-          *out += part;
-        }
-      } else if (idx > 0) {
-        // One prefix border covers everything left of the path.
-        obs::NoteBorderProbes(1);
-        V part;
-        EcdfBTree sub(pool_, dims_ - 1, variant_, InternalBorder(p, idx - 1),
-                      view_);
-        BOXAGG_RETURN_NOT_OK(sub.DominanceSum(projected, &part, level + 1));
-        *out += part;
-      }
-      pid = InternalChild(p, idx);
-    }
-  }
-
-  /// Batched dominance sums: outs[i] = DominanceSum(qs[i]), bit-identical to
-  /// `count` independent calls — each probe performs the same border and leaf
-  /// additions in the same order; only the traversal order across probes and
-  /// the page-fetch count change. Probes are sorted by the dim-0 key so the
-  /// main branch routes them monotonically: each node is fetched once per
-  /// batch, and border subtrees are themselves probed with sub-batches
-  /// (recursively down to the 1-d AggBTree base case). With count == 1 the
-  /// fetch/pin sequence is exactly DominanceSum's (seed I/O fidelity).
   Status DominanceSumBatch(const Point* qs, size_t count, V* outs,
                            unsigned obs_level = 0) const {
     for (size_t i = 0; i < count; ++i) outs[i] = V{};
@@ -990,10 +944,10 @@ class EcdfBTree {
   // LINT:hot-path — descent: no heap allocation past warm-up (lint.sh)
   /// One main-branch node of the batched descent: `idx[0..m)` are probe
   /// indices sorted by dim-0 key whose paths all pass through `pid`.
-  /// Per-probe arithmetic matches DominanceSum exactly: borders are added in
-  /// ascending record order (Bu) or as the single prefix border (Bq) before
-  /// the descent's contributions, and border probes happen while the node is
-  /// pinned, as in the sequential loop. The pin is dropped before descending.
+  /// Each probe adds its borders in ascending record order (Bu) or as the
+  /// single prefix border (Bq) before the descent's contributions. Border
+  /// probes happen while the node is pinned; the pin is dropped before
+  /// descending.
   Status DominanceBatchRec(PageId pid, const uint32_t* idx, size_t m,
                            const Point* qs, const Point* projected, V* outs,
                            unsigned obs_level = 0) const {
@@ -1041,8 +995,8 @@ class EcdfBTree {
       if (variant_ == EcdfVariant::kUpdateOptimized) {
         // Border i is needed by every probe routed right of record i — a
         // contiguous suffix of the sorted batch. Probing borders in
-        // ascending i gives each probe its border additions in the same
-        // order as the sequential `for (i < idx)` loop.
+        // ascending i gives each probe its border additions in record
+        // order, whatever batch it rides in.
         size_t gi = 0;  // first group with route > i
         core::ArenaVector<Point> pts;
         core::ArenaVector<V> parts;

@@ -3,11 +3,11 @@
 // AggBTree snapshot. Format details live in replica/replica_format.h;
 // DESIGN.md §13 has the full layout diagram and the rebuild plan.
 //
-// The replica plugs into BoxSumIndex unchanged: it answers DominanceSum and
-// DominanceSumBatch with results BYTE-IDENTICAL to the source tree — the
-// descent mirrors PackedBaTree / AggBTree addition for addition (same
-// values, same order, FP addition is not associative), it only reads them
-// from delta/dictionary-compressed strips instead of pointer-rich pages.
+// The replica plugs into BoxSumIndex unchanged: it answers DominanceSumBatch
+// with results BYTE-IDENTICAL to the source tree — the descent mirrors
+// PackedBaTree / AggBTree addition for addition (same values, same order,
+// FP addition is not associative), it only reads them from
+// delta/dictionary-compressed strips instead of pointer-rich pages.
 // Mutation entry points refuse with InvalidArgument: replicas are rebuilt
 // from the writer tree at generation publish, never patched in place.
 //
@@ -147,12 +147,8 @@ class CompactReplica {
       return CorruptionAt(root_, "compact-replica: meta payload size drift");
     }
     const uint8_t* m = meta.data();
-    c->data_pages.resize(data_page_count);
-    std::memcpy(c->data_pages.data(), m, data_page_count * 8);
-    m += data_page_count * 8;
-    c->dir.resize(c->node_count);
-    std::memcpy(c->dir.data(), m, c->node_count * 8);
-    m += c->node_count * 8;
+    TakeU64s(&m, data_page_count, &c->data_pages);
+    TakeU64s(&m, c->node_count, &c->dir);
     c->key_dict.resize(key_dict_count);
     for (uint64_t i = 0; i < key_dict_count; ++i) {
       uint64_t mapped;
@@ -187,27 +183,18 @@ class CompactReplica {
         "CompactReplica is immutable; rebuild it with ReplicaBuilder");
   }
 
-  // LINT:hot-path — replica descent: no heap allocation past warm-up (lint.sh)
-  /// Total value over points dominated by `q`; mirrors
-  /// PackedBaTree::DominanceSum (and AggBTree's when dims == 1) addition
-  /// for addition, so results are byte-identical to the source tree.
-  Status DominanceSum(const Point& query, V* out,
-                      unsigned obs_level = 0) const {
-    *out = V{};
-    BOXAGG_RETURN_NOT_OK(EnsureOpen());
-    const Cache& c = *cache_;
-    if (root_ == kInvalidPageId || c.node_count == 0) return Status::OK();
-    Point q = query;
-    for (int d = 0; d < dims_; ++d) {
-      q[d] = std::min(q[d], std::numeric_limits<double>::max());
-    }
-    return SumRec(c, 0, q, dims_, out, obs_level);
+  /// Total value over points dominated by `q`.
+  Status DominanceSum(const Point& q, V* out) const {
+    return DominanceSumBatch(&q, 1, out);
   }
 
-  /// Batched dominance sums, bit-identical to `count` independent calls —
-  /// the same grouping discipline as the live trees (first containing
-  /// record wins, spilled borders before descents, prefetch hints between
-  /// groups), so count == 1 reproduces the sequential fetch sequence.
+  // LINT:hot-path — replica descent: no heap allocation past warm-up (lint.sh)
+  /// Batched dominance sums; mirrors PackedBaTree::DominanceSumBatch (and
+  /// AggBTree's when dims == 1) addition for addition, so results are
+  /// byte-identical to the source tree. The grouping discipline is the live
+  /// trees' too (first containing record wins, spilled borders before
+  /// descents, prefetch hints between groups), so a batch visits the nodes
+  /// the same batch visits in the source tree.
   Status DominanceSumBatch(const Point* queries, size_t count, V* outs,
                            unsigned obs_level = 0) const {
     for (size_t i = 0; i < count; ++i) outs[i] = V{};
@@ -332,12 +319,8 @@ class CompactReplica {
       return CorruptionAt(root_, "compact-replica: meta payload size drift");
     }
     const uint8_t* m = meta.data();
-    c.data_pages.resize(data_page_count);
-    std::memcpy(c.data_pages.data(), m, data_page_count * 8);
-    m += data_page_count * 8;
-    c.dir.resize(c.node_count);
-    std::memcpy(c.dir.data(), m, c.node_count * 8);
-    m += c.node_count * 8;
+    TakeU64s(&m, data_page_count, &c.data_pages);
+    TakeU64s(&m, c.node_count, &c.dir);
     // Dictionaries must be strictly increasing in the order-mapped domain
     // (the builder emits them sorted + deduplicated; the strip encoder's
     // binary search depends on it).
@@ -461,10 +444,15 @@ class CompactReplica {
     std::vector<uint64_t> val_dict;  // raw V bit patterns
   };
 
-  struct SpillProbe {
-    int b;
-    uint64_t ord;
-  };
+  /// Copies `n` u64s from *m into *out and advances *m. An empty replica
+  /// has an empty meta payload, so *m may be null when n == 0, which
+  /// memcpy does not allow even for zero bytes.
+  static void TakeU64s(const uint8_t** m, uint64_t n,
+                       std::vector<uint64_t>* out) {
+    out->resize(n);
+    if (n > 0) std::memcpy(out->data(), *m, n * 8);
+    *m += n * 8;
+  }
 
   Status EnsureOpen() const {
     if (cache_) return Status::OK();
@@ -531,132 +519,6 @@ class CompactReplica {
       } else {
         replica::ReadVarint(p);
       }
-    }
-  }
-
-  /// Sequential descent; mirrors PackedBaTree::DominanceSum's per-level
-  /// pin/arena discipline, and AggBTree::DominanceSum for the 1-d node
-  /// kinds (the main tree when dims_ == 1, spilled borders at depth 1).
-  Status SumRec(const Cache& c, uint64_t ord, const Point& q, int dims,
-                V* out, unsigned obs_level) const {
-    for (unsigned level = obs_level;; ++level) {
-      core::ArenaScope scope(core::ScratchArena());
-      core::ArenaVector<SpillProbe> tree_borders;
-      uint64_t next = 0;
-      {
-        PageGuard g;
-        const uint8_t* p = nullptr;
-        BOXAGG_RETURN_NOT_OK(FetchNode(c, ord, &g, &p));
-        obs::NoteNodeVisit(level);
-        const uint8_t kind = *p++;
-        const uint32_t n = static_cast<uint32_t>(replica::ReadVarint(&p));
-        // Drained leaves (possible after forced splits in the source tree)
-        // are encoded as a bare kind + count; nothing follows.
-        if (n == 0) return Status::OK();
-        if (kind == replica::kNodeAggLeaf) {
-          core::ArenaVector<uint64_t> tok(n);
-          core::ArenaVector<double> keys(n);
-          const replica::StripRef ks = replica::ParseStrip(&p, n);
-          replica::DecodeStripU64(ks, n, tok.data());
-          if ((ks.header & replica::kStripDictBit) != 0) {
-            for (uint32_t i = 0; i < n; ++i) keys[i] = c.key_dict[tok[i]];
-          } else {
-            for (uint32_t i = 0; i < n; ++i) {
-              keys[i] = replica::UnmapDouble(tok[i]);
-            }
-          }
-          const uint32_t cut = simd::FirstGreater(keys.data(), n, q[0]);
-          core::ArenaVector<V> vals(cut);
-          DecodeValueStrip(c, &p, n, cut, tok.data(), vals.data());
-          for (uint32_t i = 0; i < cut; ++i) *out += vals[i];
-          return Status::OK();
-        }
-        if (kind == replica::kNodeAggInternal) {
-          const uint64_t first_child = replica::ReadVarint(&p);
-          core::ArenaVector<uint64_t> tok(n);
-          core::ArenaVector<double> lowkeys(n);
-          const replica::StripRef ks = replica::ParseStrip(&p, n);
-          replica::DecodeStripU64(ks, n, tok.data());
-          if ((ks.header & replica::kStripDictBit) != 0) {
-            for (uint32_t i = 0; i < n; ++i) {
-              lowkeys[i] = c.key_dict[tok[i]];
-            }
-          } else {
-            for (uint32_t i = 0; i < n; ++i) {
-              lowkeys[i] = replica::UnmapDouble(tok[i]);
-            }
-          }
-          const uint32_t route =
-              simd::FirstGreater(lowkeys.data() + 1, n - 1, q[0]);
-          core::ArenaVector<V> sums(route);
-          DecodeValueStrip(c, &p, n, route, tok.data(), sums.data());
-          for (uint32_t i = 0; i < route; ++i) *out += sums[i];
-          next = first_child + route;
-        } else if (kind == replica::kNodeBaLeaf) {
-          core::ArenaVector<uint64_t> tok(n);
-          core::ArenaVector<Point> pts(n);
-          DecodePointColumns(c, &p, n, dims, tok.data(), pts.data());
-          core::ArenaVector<V> vals(n);
-          DecodeValueStrip(c, &p, n, n, tok.data(), vals.data());
-          for (uint32_t i = 0; i < n; ++i) {
-            if (simd::Dominates(q, pts[i], dims)) *out += vals[i];
-          }
-          return Status::OK();
-        } else {  // kNodeBaInternal
-          const uint64_t first_child = replica::ReadVarint(&p);
-          core::ArenaVector<uint64_t> tok(n);
-          core::ArenaVector<Box> boxes(n);
-          for (uint32_t i = 0; i < n; ++i) boxes[i] = Box{};
-          DecodeBoxColumns(c, &p, n, dims, tok.data(), boxes.data());
-          core::ArenaVector<V> subs(n);
-          DecodeValueStrip(c, &p, n, n, tok.data(), subs.data());
-          bool found = false;
-          for (uint32_t i = 0; i < n && !found; ++i) {
-            if (!simd::ContainsHalfOpen(boxes[i], q, dims)) {
-              SkipBorderSection(&p, dims);
-              continue;
-            }
-            found = true;
-            *out += subs[i];
-            for (int b = 0; b < dims; ++b) {
-              const uint8_t tag = *p++;
-              if (tag == replica::kBorderEmpty) continue;
-              Point projected = q.DropDim(b, dims);
-              if (tag == replica::kBorderInline) {
-                const uint32_t cnt =
-                    static_cast<uint32_t>(replica::ReadVarint(&p));
-                core::ArenaVector<uint64_t> btok(cnt);
-                core::ArenaVector<Point> bpts(cnt);
-                DecodePointColumns(c, &p, cnt, dims - 1, btok.data(),
-                                   bpts.data());
-                core::ArenaVector<V> bvals(cnt);
-                DecodeValueStrip(c, &p, cnt, cnt, btok.data(), bvals.data());
-                for (uint32_t k = 0; k < cnt; ++k) {
-                  if (simd::Dominates(projected, bpts[k], dims - 1)) {
-                    *out += bvals[k];
-                  }
-                }
-              } else {
-                tree_borders.push_back(
-                    SpillProbe{b, replica::ReadVarint(&p)});
-              }
-            }
-            next = first_child + i;
-          }
-          if (!found) {
-            return Status::Corruption(
-                "query point not covered by any record");
-          }
-        }
-      }
-      for (const SpillProbe& tb : tree_borders) {
-        obs::NoteBorderProbes(1);
-        V part{};
-        BOXAGG_RETURN_NOT_OK(SumRec(c, tb.ord, q.DropDim(tb.b, dims),
-                                    dims - 1, &part, level + 1));
-        *out += part;
-      }
-      ord = next;
     }
   }
 
@@ -859,7 +721,7 @@ class CompactReplica {
       return Status::OK();
     }
     // Spilled borders of this node before any descent, like the live
-    // tree's per-level tree_borders pass; each sub-batch re-clamps and
+    // tree; each sub-batch re-clamps and
     // re-sorts its projected probes exactly as a fresh
     // PackedBaTree::DominanceSumBatch over the spilled root would.
     core::ArenaVector<Point> pts;

@@ -1,14 +1,12 @@
 // Arena scratch allocator tests (src/core/arena.h), including the property
 // the whole subsystem exists for: a warmed-up BoxSumIndex::QueryBatch makes
-// ZERO heap allocations. Global operator new/delete are replaced in this
-// translation unit with counting versions, so the steady-state assertion
-// observes every allocation in the process, not just the arena's.
+// ZERO heap allocations. The target links tests/count_new.cc, whose
+// counting global operator new observes every allocation in the process,
+// not just the arena's.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <new>
 #include <random>
 #include <vector>
@@ -16,32 +14,8 @@
 #include "batree/packed_ba_tree.h"
 #include "core/arena.h"
 #include "core/box_sum_index.h"
+#include "count_new.h"
 #include "storage/buffer_pool.h"
-
-namespace {
-std::atomic<uint64_t> g_news{0};
-}  // namespace
-
-void* operator new(size_t n) {
-  g_news.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n)) return p;
-  throw std::bad_alloc();
-}
-void* operator new(size_t n, std::align_val_t al) {
-  g_news.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::aligned_alloc(static_cast<size_t>(al),
-                                   (n + static_cast<size_t>(al) - 1) &
-                                       ~(static_cast<size_t>(al) - 1))) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
 
 namespace boxagg {
 namespace {
@@ -140,15 +114,20 @@ TEST(ArenaTest, WarmQueryBatchMakesZeroHeapAllocations) {
         index.QueryBatch(queries.data(), queries.size(), out.data()).ok());
   }
   const std::vector<double> expected = out;
+  // Positive control: the counter sees one heap allocation, so the zero
+  // below cannot come from a counter that is not linked in.
+  const uint64_t c0 = NewCount();
+  ::operator delete(::operator new(64));
+  ASSERT_EQ(NewCount() - c0, 1u);
   // Measured region: nothing but the queries themselves (even a passing
   // gtest assertion is kept outside it).
-  const uint64_t before = g_news.load(std::memory_order_relaxed);
+  const uint64_t before = NewCount();
   bool all_ok = true;
   for (int round = 0; round < 5; ++round) {
     all_ok &=
         index.QueryBatch(queries.data(), queries.size(), out.data()).ok();
   }
-  const uint64_t after = g_news.load(std::memory_order_relaxed);
+  const uint64_t after = NewCount();
   ASSERT_TRUE(all_ok);
   EXPECT_EQ(after - before, 0u) << "heap allocations on warm QueryBatch";
   EXPECT_EQ(out, expected);  // and the answers did not drift

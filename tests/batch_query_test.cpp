@@ -1,20 +1,26 @@
 // Tests for the batched query path: DominanceSumBatch on every backend,
 // BoxSumIndex::QueryBatch (corner dedup + per-sign-index grouping), batch=1
-// I/O fidelity to the per-probe seed path, and morsel-grouped parallel
-// execution. The contract everywhere is BYTE-identity: batching may change
-// traversal order and page-fetch counts, never a single result bit.
+// I/O pinned to recorded counts, exact sums against the naive oracle on
+// integer-valued data, and morsel-grouped parallel execution. The contract
+// everywhere is BYTE-identity: one batch of n answers exactly what n
+// batches of one answer; batching may change traversal order and
+// page-fetch counts, never a single result bit.
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <random>
 #include <vector>
 
 #include "batree/packed_ba_tree.h"
 #include "bptree/agg_btree.h"
 #include "core/box_sum_index.h"
+#include "core/naive.h"
 #include "ecdf/ecdf_btree.h"
 #include "exec/parallel_executor.h"
 #include "exec/query_adapters.h"
+#include "replica/compact_replica.h"
+#include "replica/replica_builder.h"
 #include "storage/buffer_pool.h"
 #include "workload/generators.h"
 
@@ -74,15 +80,16 @@ std::vector<Box> QueriesDims(int dims, size_t count, uint64_t seed) {
   return out;
 }
 
-// The pre-batching per-query read path: one DominanceSum per sign index.
+// The corner transform written out without QueryBatch's grouping, dedup
+// and signed scatter: one single-probe descent per sign index, combined in
+// ascending sign order.
 template <class Index>
-void SeedPathQuery(BoxSumIndex<Index>* index, const Box& q, double* out) {
+void PerSignQuery(BoxSumIndex<Index>* index, const Box& q, double* out) {
   *out = 0;
   for (uint32_t s = 0; s < index->index_count(); ++s) {
+    const Point corner = QueryCorner(q, s, index->dims());
     double part;
-    ASSERT_TRUE(index->index(s)
-                    .DominanceSum(QueryCorner(q, s, index->dims()), &part)
-                    .ok());
+    ASSERT_TRUE(index->index(s).DominanceSumBatch(&corner, 1, &part).ok());
     *out += MaskSign(s) * part;
   }
 }
@@ -102,9 +109,10 @@ TEST(AggBTreeBatch, MatchesSequentialByteForByte) {
   }
   qs.push_back(qs[0]);
   qs.push_back(qs[1]);
+  // n batches of one against one batch of n.
   std::vector<double> seq(qs.size()), batch(qs.size());
   for (size_t i = 0; i < qs.size(); ++i) {
-    ASSERT_TRUE(tree.DominanceSum(qs[i], &seq[i]).ok());
+    ASSERT_TRUE(tree.DominanceSumBatch(&qs[i], 1, &seq[i]).ok());
   }
   ASSERT_TRUE(tree.DominanceSumBatch(qs.data(), qs.size(), batch.data()).ok());
   EXPECT_EQ(
@@ -117,8 +125,8 @@ TEST(AggBTreeBatch, MatchesSequentialByteForByte) {
   EXPECT_EQ(out, 0.0);
 }
 
-// Property: QueryBatch output is byte-identical to a sequential per-query
-// loop AND to the per-sign-index seed path, for every backend and 1-3
+// Property: QueryBatch output is byte-identical to a loop of single-query
+// batches AND to the per-sign-index probes, for every backend and 1-3
 // dimensions, over a query mix with degenerate and repeated boxes. Batch
 // queries are reads: CheckConsistency afterwards confirms nothing mutated.
 template <class Index, class Factory>
@@ -130,15 +138,15 @@ void CheckBatchProperty(int dims, int n, uint32_t seed, Factory factory) {
   BoxSumIndex<Index> index(dims, [&] { return factory(&pool, dims); });
   ASSERT_TRUE(index.BulkLoad(objs).ok());
 
-  std::vector<double> seq(queries.size()), seed_path(queries.size());
+  std::vector<double> seq(queries.size()), per_sign(queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
     ASSERT_TRUE(index.Query(queries[i], &seq[i]).ok());
-    SeedPathQuery(&index, queries[i], &seed_path[i]);
+    PerSignQuery(&index, queries[i], &per_sign[i]);
   }
-  EXPECT_EQ(std::memcmp(seq.data(), seed_path.data(),
+  EXPECT_EQ(std::memcmp(seq.data(), per_sign.data(),
                         seq.size() * sizeof(double)),
             0)
-      << "Query() drifted from the per-sign DominanceSum path, dims=" << dims;
+      << "Query() drifted from the per-sign probes, dims=" << dims;
 
   std::vector<double> batch;
   ASSERT_TRUE(index.QueryBatch(queries, &batch).ok());
@@ -193,11 +201,89 @@ TEST(BatchBoxSumProperty, PackedBaTree) {
   }
 }
 
-// batch=1 must issue the exact Fetch sequence of the per-probe seed path:
-// cumulative logical reads, buffer hits, AND physical reads (LRU eviction
-// order included — the pool is sized small enough to evict) all match.
+// Exact oracle: with integer values every dominance sum is exact in any
+// addition order, so each backend must equal NaiveDominanceSum to the bit,
+// in one batch of n and in n batches of one. Probes include exact data
+// points (boundary-inclusive dominance) and points outside the data range.
+std::vector<PointEntry<double>> IntegerValuedPoints(int dims, size_t n,
+                                                    uint32_t seed) {
+  std::mt19937_64 rng(seed);
+  std::uniform_real_distribution<double> coord(0.0, 1.0);
+  std::uniform_int_distribution<int> value(-50, 50);
+  std::vector<PointEntry<double>> es(n);
+  for (auto& e : es) {
+    for (int d = 0; d < dims; ++d) e.pt[d] = coord(rng);
+    e.value = static_cast<double>(value(rng));
+  }
+  return es;
+}
+
+template <class Tree>
+void ExpectExactAgainstNaive(const Tree& tree, int dims,
+                             const std::vector<PointEntry<double>>& es,
+                             uint32_t seed) {
+  NaiveDominanceSum<double> naive(dims);
+  for (const auto& e : es) naive.Insert(e.pt, e.value);
+  std::mt19937_64 rng(seed ^ 0x5eedu);
+  std::uniform_real_distribution<double> coord(-0.1, 1.1);
+  std::vector<Point> qs;
+  for (int i = 0; i < 150; ++i) {
+    Point q;
+    for (int d = 0; d < dims; ++d) q[d] = coord(rng);
+    qs.push_back(q);
+  }
+  for (size_t i = 0; i < es.size(); i += 37) qs.push_back(es[i].pt);
+  std::vector<double> batch(qs.size());
+  ASSERT_TRUE(tree.DominanceSumBatch(qs.data(), qs.size(), batch.data()).ok());
+  for (size_t i = 0; i < qs.size(); ++i) {
+    double one = 0;
+    ASSERT_TRUE(tree.DominanceSumBatch(&qs[i], 1, &one).ok());
+    const double want = naive.Query(qs[i]);
+    EXPECT_EQ(one, want) << "dims=" << dims << " probe " << i;
+    EXPECT_EQ(batch[i], want) << "dims=" << dims << " probe " << i;
+  }
+}
+
+TEST(BatchOracle, IntegerValuedSumsAreExactOnEveryBackend) {
+  for (int dims = 1; dims <= 3; ++dims) {
+    SCOPED_TRACE(::testing::Message() << "dims=" << dims);
+    MemPageFile file(1024);  // small pages: several levels, spilled borders
+    BufferPool pool(&file, 4096);
+    const uint32_t seed = 500u + static_cast<uint32_t>(dims);
+    const auto es = IntegerValuedPoints(dims, 1500, seed);
+
+    PackedBaTree<double> bat(&pool, dims);
+    for (const auto& e : es) ASSERT_TRUE(bat.Insert(e.pt, e.value).ok());
+    ExpectExactAgainstNaive(bat, dims, es, seed);
+
+    for (EcdfVariant v :
+         {EcdfVariant::kUpdateOptimized, EcdfVariant::kQueryOptimized}) {
+      EcdfBTree<double> ecdf(&pool, dims, v);
+      ASSERT_TRUE(ecdf.BulkLoad(es).ok());
+      ExpectExactAgainstNaive(ecdf, dims, es, seed);
+    }
+
+    ReplicaBuilder<double> builder(&pool);
+    PageId root = kInvalidPageId;
+    ASSERT_TRUE(builder.Build(bat, &root).ok());
+    CompactReplica<double> rep(&pool, dims, root);
+    ASSERT_TRUE(rep.Open().ok());
+    ExpectExactAgainstNaive(rep, dims, es, seed);
+  }
+}
+
+// batch=1 I/O is pinned to the counts the per-probe path produced before it
+// became a one-probe batch: cumulative logical reads, buffer hits AND
+// physical reads (LRU eviction order included — the pool is sized small
+// enough to evict). Answers of n batches of one match one batch of n.
+struct IoGolden {
+  uint64_t logical_reads;
+  uint64_t buffer_hits;
+  uint64_t physical_reads;
+};
+
 template <class Index, class Factory>
-void CheckBatchOneIoFidelity(Factory factory) {
+void CheckBatchOneIoFidelity(Factory factory, const IoGolden& golden) {
   MemPageFile file(1024);
   BufferPool pool(&file, 32);  // tight: eviction order differences would show
   auto objs = World2d(2500, 77);
@@ -207,14 +293,6 @@ void CheckBatchOneIoFidelity(Factory factory) {
   ASSERT_TRUE(pool.FlushAll().ok());
 
   ASSERT_TRUE(pool.Reset().ok());
-  IoStats a0 = pool.stats();
-  std::vector<double> seq(queries.size());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    SeedPathQuery(&index, queries[i], &seq[i]);
-  }
-  IoStats seed_io = pool.stats().Since(a0);
-
-  ASSERT_TRUE(pool.Reset().ok());
   IoStats b0 = pool.stats();
   std::vector<double> one(queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
@@ -222,29 +300,36 @@ void CheckBatchOneIoFidelity(Factory factory) {
   }
   IoStats batch_io = pool.stats().Since(b0);
 
+  std::vector<double> all;
+  ASSERT_TRUE(index.QueryBatch(queries, &all).ok());
   EXPECT_EQ(
-      std::memcmp(one.data(), seq.data(), seq.size() * sizeof(double)), 0);
-  EXPECT_EQ(batch_io.logical_reads, seed_io.logical_reads);
-  EXPECT_EQ(batch_io.buffer_hits, seed_io.buffer_hits);
-  EXPECT_EQ(batch_io.physical_reads, seed_io.physical_reads);
+      std::memcmp(one.data(), all.data(), all.size() * sizeof(double)), 0);
+  EXPECT_EQ(batch_io.logical_reads, golden.logical_reads);
+  EXPECT_EQ(batch_io.buffer_hits, golden.buffer_hits);
+  EXPECT_EQ(batch_io.physical_reads, golden.physical_reads);
   EXPECT_EQ(batch_io.probe_fetches_saved, 0u);  // no grouping at batch=1
 }
 
 TEST(BatchIoFidelity, EcdfBuBatchOneMatchesSeed) {
-  CheckBatchOneIoFidelity<EcdfBTree<double>>([](BufferPool* pool, int d) {
-    return EcdfBTree<double>(pool, d, EcdfVariant::kUpdateOptimized);
-  });
+  CheckBatchOneIoFidelity<EcdfBTree<double>>(
+      [](BufferPool* pool, int d) {
+        return EcdfBTree<double>(pool, d, EcdfVariant::kUpdateOptimized);
+      },
+      IoGolden{3176, 0, 3176});
 }
 
 TEST(BatchIoFidelity, EcdfBqBatchOneMatchesSeed) {
-  CheckBatchOneIoFidelity<EcdfBTree<double>>([](BufferPool* pool, int d) {
-    return EcdfBTree<double>(pool, d, EcdfVariant::kQueryOptimized);
-  });
+  CheckBatchOneIoFidelity<EcdfBTree<double>>(
+      [](BufferPool* pool, int d) {
+        return EcdfBTree<double>(pool, d, EcdfVariant::kQueryOptimized);
+      },
+      IoGolden{1012, 403, 609});
 }
 
 TEST(BatchIoFidelity, PackedBaTreeBatchOneMatchesSeed) {
   CheckBatchOneIoFidelity<PackedBaTree<double>>(
-      [](BufferPool* pool, int d) { return PackedBaTree<double>(pool, d); });
+      [](BufferPool* pool, int d) { return PackedBaTree<double>(pool, d); },
+      IoGolden{1811, 32, 1779});
 }
 
 TEST(BatchDedup, RepeatedQueriesAnswerEachDistinctProbeOnce) {
@@ -314,8 +399,9 @@ TEST(BatchDedup, DistinctQueriesShareDescentPages) {
 }
 
 // Morsel-grouped parallel execution: byte-identical to the sequential
-// per-query loop under threads + shards, with the buffer-pool delta
-// reported in the stats. (Name anchors the TSan CI regex.)
+// per-query loop under threads + shards at every morsel size (1 = one query
+// per call), with the buffer-pool delta reported in the stats. (Name
+// anchors the TSan CI regex.)
 TEST(BatchExecGrouped, MatchesSequentialAndFillsIoStats) {
   MemPageFile file(2048);
   BufferPool pool(&file, 1024, /*shards=*/4);
@@ -351,16 +437,6 @@ TEST(BatchExecGrouped, MatchesSequentialAndFillsIoStats) {
     EXPECT_EQ(st.io.logical_reads,
               st.io.buffer_hits + st.io.physical_reads);
   }
-
-  // RunBatch with a pool reports the delta too.
-  exec::QueryFn qfn = exec::BoxSumQueryFn(&index);
-  std::vector<double> results;
-  exec::BatchExecStats st;
-  ASSERT_TRUE(executor.RunBatch(qfn, queries, &results, &st, &pool).ok());
-  EXPECT_TRUE(st.has_io);
-  EXPECT_EQ(std::memcmp(results.data(), oracle.data(),
-                        oracle.size() * sizeof(double)),
-            0);
 }
 
 }  // namespace

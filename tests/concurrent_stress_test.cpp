@@ -109,10 +109,10 @@ class ParallelQueryTest : public ::testing::Test {
     EXPECT_TRUE(index_.BulkLoad(objects).ok());
     EXPECT_TRUE(pool_.FlushAll().ok());
     queries_ = workload::QueryBoxes(400, 0.001, 99);
-    fn_ = exec::BoxSumQueryFn(&index_);
+    fn_ = exec::BoxSumBatchQueryFn(&index_);
     oracle_.resize(queries_.size());
     for (size_t i = 0; i < queries_.size(); ++i) {
-      EXPECT_TRUE(fn_(queries_[i], &oracle_[i]).ok());
+      EXPECT_TRUE(index_.Query(queries_[i], &oracle_[i]).ok());
     }
   }
 
@@ -121,7 +121,7 @@ class ParallelQueryTest : public ::testing::Test {
   BoxSumIndex<PackedBaTree<double>> index_;
   std::vector<Box> queries_;
   std::vector<double> oracle_;
-  exec::QueryFn fn_;
+  exec::BatchQueryFn fn_;
 };
 
 TEST_F(ParallelQueryTest, ResultsAreByteIdenticalToSequentialOracle) {
@@ -129,7 +129,10 @@ TEST_F(ParallelQueryTest, ResultsAreByteIdenticalToSequentialOracle) {
     exec::ParallelQueryExecutor executor(threads);
     std::vector<double> results;
     exec::BatchExecStats stats;
-    ASSERT_TRUE(executor.RunBatch(fn_, queries_, &results, &stats).ok());
+    ASSERT_TRUE(executor
+                    .RunBatchGrouped(fn_, queries_, /*morsel=*/1, &results,
+                                     &stats)
+                    .ok());
     ASSERT_EQ(results.size(), oracle_.size());
     EXPECT_EQ(std::memcmp(results.data(), oracle_.data(),
                           results.size() * sizeof(double)),
@@ -146,7 +149,8 @@ TEST_F(ParallelQueryTest, RepeatedBatchesStayDeterministic) {
   exec::ParallelQueryExecutor executor(8);
   for (int rep = 0; rep < 5; ++rep) {
     std::vector<double> results;
-    ASSERT_TRUE(executor.RunBatch(fn_, queries_, &results, nullptr).ok());
+    ASSERT_TRUE(
+        executor.RunBatchGrouped(fn_, queries_, /*morsel=*/1, &results).ok());
     EXPECT_EQ(std::memcmp(results.data(), oracle_.data(),
                           results.size() * sizeof(double)),
               0)
@@ -159,14 +163,15 @@ TEST(ParallelExecutorTest, PropagatesFirstQueryError) {
   exec::ParallelQueryExecutor executor(4);
   std::vector<Box> queries(64, Box::Universe(2));
   std::atomic<size_t> calls{0};
-  exec::QueryFn failing = [&calls](const Box&, double* out) {
+  exec::BatchQueryFn failing = [&calls](const Box*, size_t, double* out) {
     size_t i = calls.fetch_add(1, std::memory_order_relaxed);
     *out = 1.0;
     if (i % 7 == 3) return Status::IoError("injected");
     return Status::OK();
   };
   std::vector<double> results;
-  Status s = executor.RunBatch(failing, queries, &results);
+  Status s = executor.RunBatchGrouped(failing, queries, /*morsel=*/1,
+                                      &results);
   EXPECT_FALSE(s.ok());
   EXPECT_EQ(s.code(), Status::Code::kIoError);
   EXPECT_EQ(calls.load(), queries.size());  // all queries still ran
@@ -176,11 +181,12 @@ TEST(ParallelExecutorTest, EmptyBatchIsOk) {
   exec::ParallelQueryExecutor executor(2);
   std::vector<double> results{1.0, 2.0};
   exec::BatchExecStats stats;
-  exec::QueryFn fn = [](const Box&, double* out) {
+  exec::BatchQueryFn fn = [](const Box*, size_t, double* out) {
     *out = 0;
     return Status::OK();
   };
-  ASSERT_TRUE(executor.RunBatch(fn, {}, &results, &stats).ok());
+  ASSERT_TRUE(
+      executor.RunBatchGrouped(fn, {}, /*morsel=*/1, &results, &stats).ok());
   EXPECT_TRUE(results.empty());
   EXPECT_EQ(stats.queries, 0u);
 }

@@ -142,9 +142,9 @@ TEST(GenerationDeathTest, PinOutlivingBagFileAborts) {
 #endif
 
 // ---------------------------------------------------------------------------
-// Executor pin handoff: one pin is acquired per batch and shared by every
-// worker and morsel; a commit published mid-batch must not leak into any
-// query of the batch.
+// Executor pin handoff: the caller pins once per batch and the query
+// function captures the pin, so every worker and morsel shares it; a commit
+// published mid-batch must not leak into any query of the batch.
 // ---------------------------------------------------------------------------
 TEST(Generation, ExecutorSharesOnePinAcrossMorsels) {
   MemPageFile phys(kPageSize);
@@ -163,10 +163,10 @@ TEST(Generation, ExecutorSharesOnePinAcrossMorsels) {
   const std::vector<Box> queries(64, Box::Universe(1));
   std::vector<double> results;
   std::atomic<bool> mutated{false};
-  Status st = executor.RunBatchGroupedPinned(
-      bag.get(),
-      [&](const GenerationPin& pin, const Box* qs, size_t count,
-          double* outs) -> Status {
+  GenerationPin pin;
+  ASSERT_TRUE(bag->PinCurrent(&pin).ok());
+  Status st = executor.RunBatchGrouped(
+      [&](const Box* qs, size_t count, double* outs) -> Status {
         // First morsel to arrive publishes generation 2 (another 100
         // entries). Every morsel — before or after — answers from the
         // pinned generation 1.
@@ -185,10 +185,11 @@ TEST(Generation, ExecutorSharesOnePinAcrossMorsels) {
         return Status::OK();
       },
       queries, /*morsel=*/4, &results);
+  pin.Release();
   ASSERT_TRUE(st.ok()) << st.ToString();
   for (double r : results) EXPECT_EQ(r, 200.0);
-  // The batch pin dropped with the latch; retired generation-1 pages are
-  // now reclaimable.
+  // The batch pin is released after the latch; retired generation-1 pages
+  // are now reclaimable.
   EXPECT_EQ(bag->live_pins(), 0u);
   size_t reclaimed = 0;
   ASSERT_TRUE(bag->ReclaimRetired(&reclaimed).ok());
@@ -479,9 +480,18 @@ TEST(Generation, PostCommitHookRebuildsReplica) {
 // ---------------------------------------------------------------------------
 
 // Two published generations of a PackedBaTree store (the default checker's
-// layout), for the fsck tests below.
-void BuildTwoGenerations(MemPageFile* phys) {
+// layout), for the fsck tests below. The store stays open with generation 1
+// pinned, so generation 1's pages are retired, not reclaimed, when
+// generation 2 commits: their bytes stay on the file for fsck to verify
+// (a reclaimed page may be overwritten — Debug MemPageFile::Free fills it
+// with 0xDB). Members are declared so the pin drops before the BagFile.
+struct TwoGenerations {
   std::unique_ptr<BagFile> bag;
+  GenerationPin gen1;
+};
+
+void BuildTwoGenerations(MemPageFile* phys, TwoGenerations* out) {
+  std::unique_ptr<BagFile>& bag = out->bag;
   ASSERT_TRUE(BagFile::Create(phys, 2, 1, &bag).ok());
   BufferPool pool(bag.get(), 512);
   PackedBaTree<double> tree(&pool, 2);
@@ -494,6 +504,7 @@ void BuildTwoGenerations(MemPageFile* phys) {
   }
   ASSERT_TRUE(pool.FlushAll().ok());
   ASSERT_TRUE(bag->Commit({tree.root()}).ok());
+  ASSERT_TRUE(bag->PinCurrent(&out->gen1).ok());
   for (int k = 0; k < 40; ++k) {
     ASSERT_TRUE(
         tree.Insert(Point(100.0 + k, 100.0 - k), 2.0).ok());
@@ -504,7 +515,8 @@ void BuildTwoGenerations(MemPageFile* phys) {
 
 TEST(GenerationFsck, TargetGenerationAndAllGenerations) {
   MemPageFile phys(kPageSize);
-  BuildTwoGenerations(&phys);
+  TwoGenerations store;
+  BuildTwoGenerations(&phys, &store);
 
   // Default: newest generation, with the older one classified retired.
   FsckOptions opts;
@@ -540,7 +552,8 @@ TEST(GenerationFsck, TargetGenerationAndAllGenerations) {
 
 TEST(GenerationFsck, CrossGenerationAliasingIsCorruption) {
   MemPageFile phys(kPageSize);
-  BuildTwoGenerations(&phys);
+  TwoGenerations store;
+  BuildTwoGenerations(&phys, &store);
 
   // Learn both generations' layouts through pins (a pin snapshots the
   // full logical->physical map and the map-chain ids).

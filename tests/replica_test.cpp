@@ -3,15 +3,13 @@
 // skew; strip codec round-trips; structural self-checks against injected
 // byte corruption (in-pool and through a real .bag file via fsck); the
 // immutability contract; and the descent's zero-heap-allocation guarantee.
-// Global operator new/delete are replaced in this translation unit with
-// counting versions, so the steady-state assertion observes every
-// allocation in the process (same idiom as arena_test.cpp).
+// The target links tests/count_new.cc, whose counting global operator new
+// observes every allocation in the process (same idiom as arena_test.cpp).
 
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <new>
@@ -25,6 +23,7 @@
 #include "core/bag_file.h"
 #include "core/box_sum_index.h"
 #include "core/naive.h"
+#include "count_new.h"
 #include "replica/compact_replica.h"
 #include "replica/replica_builder.h"
 #include "replica/replica_format.h"
@@ -32,31 +31,6 @@
 #include "storage/page_file.h"
 #include "temp_path.h"
 #include "workload/generators.h"
-
-namespace {
-std::atomic<uint64_t> g_news{0};
-}  // namespace
-
-void* operator new(size_t n) {
-  g_news.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n)) return p;
-  throw std::bad_alloc();
-}
-void* operator new(size_t n, std::align_val_t al) {
-  g_news.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::aligned_alloc(static_cast<size_t>(al),
-                                   (n + static_cast<size_t>(al) - 1) &
-                                       ~(static_cast<size_t>(al) - 1))) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
 
 namespace boxagg {
 namespace {
@@ -83,8 +57,8 @@ std::vector<PointEntry<double>> MakeEntries(int dims, size_t n, bool skewed,
 
 /// The full fidelity property for one (dims, build mode, distribution):
 /// replica opens, passes its own structural + self-oracle check, and every
-/// query answer is byte-identical to the live tree (sequential AND batch)
-/// and numerically equal to the naive oracle.
+/// query answer is byte-identical to the live tree (n batches of one AND
+/// one batch of n) and numerically equal to the naive oracle.
 void CheckReplicaAgainstLive(int dims, size_t n, bool bulk, bool skewed,
                              unsigned seed) {
   MemPageFile file(1024);
@@ -125,15 +99,20 @@ void CheckReplicaAgainstLive(int dims, size_t n, bool bulk, bool skewed,
   }
   std::vector<double> want(qs.size()), got(qs.size());
   for (size_t i = 0; i < qs.size(); ++i) {
-    ASSERT_TRUE(live.DominanceSum(qs[i], &want[i]).ok());
-    ASSERT_TRUE(rep.DominanceSum(qs[i], &got[i]).ok());
+    ASSERT_TRUE(live.DominanceSumBatch(&qs[i], 1, &want[i]).ok());
+    ASSERT_TRUE(rep.DominanceSumBatch(&qs[i], 1, &got[i]).ok());
     ASSERT_EQ(std::memcmp(&want[i], &got[i], sizeof(double)), 0)
         << "query " << i << ": live=" << want[i] << " replica=" << got[i];
     const double oracle = naive.Query(qs[i]);
     EXPECT_NEAR(got[i], oracle, 1e-9 * (1.0 + std::abs(oracle)));
   }
-  std::vector<double> batch(qs.size());
+  std::vector<double> live_batch(qs.size()), batch(qs.size());
+  ASSERT_TRUE(
+      live.DominanceSumBatch(qs.data(), qs.size(), live_batch.data()).ok());
   ASSERT_TRUE(rep.DominanceSumBatch(qs.data(), qs.size(), batch.data()).ok());
+  EXPECT_EQ(std::memcmp(live_batch.data(), want.data(),
+                        qs.size() * sizeof(double)),
+            0);
   EXPECT_EQ(std::memcmp(batch.data(), want.data(),
                         qs.size() * sizeof(double)),
             0);
@@ -206,13 +185,30 @@ TEST(ReplicaTest, SnapshotsAggBTreeDirectly) {
   Status check = rep.CheckConsistency(&ctx);
   ASSERT_TRUE(check.ok()) << check.ToString();
 
+  std::vector<double> keys;
+  std::vector<Point> pts;
   for (int i = 0; i < 300; ++i) {
-    const double q = uni(rng) * 1.1 - 20.0;
-    double want = 0, got = 0;
-    ASSERT_TRUE(agg.DominanceSum(q, &want).ok());
-    ASSERT_TRUE(rep.DominanceSum(Point(q), &got).ok());
-    ASSERT_EQ(std::memcmp(&want, &got, sizeof(double)), 0) << "q=" << q;
+    keys.push_back(uni(rng) * 1.1 - 20.0);
+    pts.push_back(Point(keys.back()));
   }
+  std::vector<double> want(keys.size()), got(keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    ASSERT_TRUE(agg.DominanceSumBatch(&keys[i], 1, &want[i]).ok());
+    ASSERT_TRUE(rep.DominanceSumBatch(&pts[i], 1, &got[i]).ok());
+    ASSERT_EQ(std::memcmp(&want[i], &got[i], sizeof(double)), 0)
+        << "q=" << keys[i];
+  }
+  std::vector<double> agg_batch(keys.size()), rep_batch(keys.size());
+  ASSERT_TRUE(
+      agg.DominanceSumBatch(keys.data(), keys.size(), agg_batch.data()).ok());
+  ASSERT_TRUE(
+      rep.DominanceSumBatch(pts.data(), pts.size(), rep_batch.data()).ok());
+  EXPECT_EQ(std::memcmp(agg_batch.data(), want.data(),
+                        want.size() * sizeof(double)),
+            0);
+  EXPECT_EQ(std::memcmp(rep_batch.data(), want.data(),
+                        want.size() * sizeof(double)),
+            0);
 }
 
 TEST(ReplicaTest, BoxSumsAreByteIdenticalToLiveIndex) {
@@ -474,15 +470,20 @@ TEST(ReplicaTest, WarmBatchMakesNoHeapAllocations) {
         index.QueryBatch(queries.data(), queries.size(), out.data()).ok());
   }
   const std::vector<double> expected = out;
+  // Positive control: the counter sees one heap allocation, so the zero
+  // below cannot come from a counter that is not linked in.
+  const uint64_t c0 = NewCount();
+  ::operator delete(::operator new(64));
+  ASSERT_EQ(NewCount() - c0, 1u);
   // Measured region: nothing but the queries themselves (even a passing
   // gtest assertion is kept outside it).
-  const uint64_t before = g_news.load(std::memory_order_relaxed);
+  const uint64_t before = NewCount();
   bool all_ok = true;
   for (int round = 0; round < 5; ++round) {
     all_ok &=
         index.QueryBatch(queries.data(), queries.size(), out.data()).ok();
   }
-  const uint64_t after = g_news.load(std::memory_order_relaxed);
+  const uint64_t after = NewCount();
   ASSERT_TRUE(all_ok);
   EXPECT_EQ(after - before, 0u) << "heap allocations on warm QueryBatch";
   EXPECT_EQ(out, expected);  // and the answers did not drift

@@ -90,7 +90,9 @@ TEST(SimdTest, FirstGreaterResultIsCorrectByDefinition) {
     const uint32_t i = simd::FirstGreater(keys.data(), n, q);
     ASSERT_LE(i, n);
     for (uint32_t j = 0; j < i; ++j) EXPECT_FALSE(keys[j] > q);
-    if (i < n) EXPECT_TRUE(keys[i] > q);
+    if (i < n) {
+      EXPECT_TRUE(keys[i] > q);
+    }
   }
 }
 
