@@ -101,11 +101,16 @@ int main() {
     obs::LogInfo("  %-8s %14.1f %12llu", name, cell->model_ms, ios);
     std::printf("BASELINE index=%s ios=%llu\n", name, ios);
   }
+  // Paper shape: the BA-tree is cheaper than the aR-tree at both degrees
+  // (BAT/aR cost ratio below 1), and degree 2 costs the BA-tree more.
+  const double ratio_d0 = bat_d0.model_ms / std::max(1.0, ar_d0.model_ms);
+  const double ratio_d2 = bat_d2.model_ms / std::max(1.0, ar_d2.model_ms);
   obs::LogInfo(
-      "paper shape check: BAT faster than aR at degree 0 (x%.1f) and degree "
-      "2 (x%.1f); degree 2 costlier than degree 0 for BAT=%s",
-      ar_d0.model_ms / std::max(1.0, bat_d0.model_ms),
-      ar_d2.model_ms / std::max(1.0, bat_d2.model_ms),
+      "paper shape check: BAT/aR cost ratio %.2f at degree 0 (BAT faster: "
+      "%s) and %.2f at degree 2 (BAT faster: %s); degree 2 costlier than "
+      "degree 0 for BAT: %s",
+      ratio_d0, ratio_d0 < 1.0 ? "yes" : "NO", ratio_d2,
+      ratio_d2 < 1.0 ? "yes" : "NO",
       bat_d2.model_ms >= bat_d0.model_ms ? "yes" : "NO");
   return 0;
 }

@@ -47,6 +47,12 @@
 // recursively a PackedBaTree above that). results/ablation_borders_200k.txt
 // records what packing saved over one tree per border.
 //
+// Queries run the shared batched descent (core/dominance_descent.h); this
+// file supplies only its node reader (PackedBaTree::Reader, at the end),
+// which reads records, inline border blocks and leaves in place from the
+// pinned page. CompactReplica runs the same descent over its compressed
+// copy of this tree, which is why the two answer byte-identically.
+//
 // Page layout (dims >= 2):
 //   leaf (type 5): u16 type, u16 pad, u32 count; entries {Point, V}
 //   internal (type 10): u16 type, u16 pad, u32 count, u32 heap_start,
@@ -71,11 +77,9 @@
 
 #include "bptree/agg_btree.h"
 #include "check/checkable.h"
-#include "core/arena.h"
+#include "core/dominance_descent.h"
 #include "core/point_entry.h"
 #include "geom/box.h"
-#include "obs/query_obs.h"
-#include "simd/simd.h"
 #include "storage/buffer_pool.h"
 
 namespace boxagg {
@@ -169,46 +173,17 @@ class PackedBaTree {
     return DominanceSumBatch(&q, 1, out);
   }
 
-  // LINT:hot-path — descent: no heap allocation past warm-up (lint.sh)
-  /// Batched dominance sums: outs[i] = DominanceSum(queries[i]). The result
-  /// of every probe is bit-identical whatever batch it rides in — each probe
-  /// performs the same subtotal, inline-border, spilled-border, and leaf
-  /// additions in the same order; only the traversal order across probes
-  /// and the page-fetch count change. Probes are gathered per record in
-  /// page order (first containing record wins); inline borders are scanned
-  /// in-page while the node is pinned, spilled border trees are probed with
-  /// sub-batches after the pin is dropped.
+  /// Batched dominance sums: outs[i] = DominanceSum(queries[i]), answered
+  /// by the shared descent (core/dominance_descent.h) over Reader, which
+  /// reads each node in place from its pinned page. The result of every
+  /// probe is bit-identical whatever batch it rides in; only the traversal
+  /// order across probes and the page-fetch count change.
   Status DominanceSumBatch(const Point* queries, size_t count, V* outs,
                            unsigned obs_level = 0) const {
-    for (size_t i = 0; i < count; ++i) outs[i] = V{};
-    if (root_ == kInvalidPageId || count == 0) return Status::OK();
-    core::ArenaScope scope(core::ScratchArena());
-    core::ArenaVector<Point> qs(queries, queries + count);
-    for (auto& q : qs) {
-      for (int d = 0; d < dims_; ++d) {
-        q[d] = std::min(q[d], std::numeric_limits<double>::max());
-      }
-    }
-    if (dims_ == 1) {
-      core::ArenaVector<double> keys(count);
-      for (size_t i = 0; i < count; ++i) keys[i] = qs[i][0];
-      AggBTree<V> base(pool_, root_, view_);
-      return base.DominanceSumBatch(keys.data(), count, outs, obs_level);
-    }
-    core::ArenaVector<uint32_t> order(count);
-    for (size_t i = 0; i < count; ++i) order[i] = static_cast<uint32_t>(i);
-    const core::ArenaVector<Point>& q_ref = qs;
-    std::sort(order.begin(), order.end(),
-              [this, &q_ref](uint32_t a, uint32_t b) {
-                if (LexLess(q_ref[a], q_ref[b], dims_)) return true;
-                if (LexLess(q_ref[b], q_ref[a], dims_)) return false;
-                return a < b;
-              });
-    return DominanceBatchRec(root_, order.data(), count, qs.data(), outs,
-                             obs_level);
+    return descent::PointBatch(Reader(pool_, view_), root_, queries, count,
+                               dims_, outs, obs_level);
   }
 
-  // LINT:hot-path-end
   /// Collects every (point, value) in main-branch leaves, sorted.
   Status ScanAll(std::vector<Entry>* out) const {
     if (root_ == kInvalidPageId) return Status::OK();
@@ -264,31 +239,21 @@ class PackedBaTree {
                     &root_);
   }
 
-  /// Structural audit (test/debug aid). Checks the invariants that are
-  /// reconstructible from the current state:
+  /// Deep structural audit:
   ///  (a) every leaf point lies inside the half-open box of every record on
   ///      its root-to-leaf path, and in exactly one record per node;
-  ///  (b) a self-oracle: DominanceSum at a sample of probe points (data
-  ///      points and perturbations) equals a linear scan over the tree's
+  ///  (b) raw packed-page layout — record array and border heap must not
+  ///      overlap, every inline border block must lie inside the heap with a
+  ///      sane entry count and strictly sorted entries — and spilled border
+  ///      trees audited recursively down to the AggBTree base case;
+  ///  (c) when ctx->check_oracle (the default), a self-oracle: DominanceSum
+  ///      at a sample of probe points equals a linear scan over the tree's
   ///      own leaves.
   /// Per-record aggregates cannot be re-derived by classifying the node's
   /// point set: after an index-record split the high half's borders
   /// legitimately exclude sibling points that predate the split (Fig. 8d) —
-  /// those are counted deeper, which only a query observes.
-  Status Validate() const {
-    if (root_ == kInvalidPageId || dims_ == 1) return Status::OK();
-    std::vector<Entry> pts;
-    BOXAGG_RETURN_NOT_OK(ValidateRec(root_, &pts));
-    return SelfOracle(pts);
-  }
-
-  /// Deep structural audit: Validate()'s containment/tiling and (when
-  /// ctx->check_oracle) self-oracle checks, plus raw packed-page layout
-  /// verification — record array and border heap must not overlap, every
-  /// inline border block must lie inside the heap with a sane entry count
-  /// and strictly sorted entries, and spilled border trees are audited
-  /// recursively down to the AggBTree base case. `ctx` threads the page
-  /// ownership set across structures (see src/check/checkable.h).
+  /// those are counted deeper, which only a query observes. `ctx` threads
+  /// the page ownership set across structures (see src/check/checkable.h).
   Status CheckConsistency(CheckContext* ctx = nullptr) const {
     CheckContext local;
     if (ctx == nullptr) ctx = &local;
@@ -299,7 +264,9 @@ class PackedBaTree {
     }
     std::vector<Entry> pts;
     BOXAGG_RETURN_NOT_OK(CheckRec(root_, ctx, &pts));
-    if (ctx->check_oracle) return SelfOracle(pts);
+    if (ctx->check_oracle) {
+      return SelfOracle(*this, pts, dims_, "packed-ba-tree");
+    }
     return Status::OK();
   }
 
@@ -321,6 +288,9 @@ class PackedBaTree {
   // The replica builder snapshots nodes through the raw accessors below.
   template <class>
   friend class ReplicaBuilder;
+
+  /// Node reader for the shared descent; defined after the class.
+  class Reader;
 
   static constexpr uint16_t kLeaf = 5;
   static constexpr uint16_t kInternal = 10;   // packed internal node
@@ -380,15 +350,7 @@ class PackedBaTree {
   }
   /// Routes a node read through the pinned snapshot when bound to one.
   Status FetchNode(PageId pid, PageGuard* g) const {
-    return view_ != nullptr ? pool_->FetchSnapshot(*view_, pid, g)
-                            : pool_->Fetch(pid, g);
-  }
-  void PrefetchNode(PageId pid) const {
-    if (view_ != nullptr) {
-      pool_->PrefetchSnapshotHint(*view_, pid);
-    } else {
-      pool_->PrefetchHint(pid);
-    }
+    return typename AggBTree<V>::Reader(pool_, view_).FetchPage(pid, g);
   }
 
   // ---- raw page accessors -------------------------------------------------
@@ -443,14 +405,23 @@ class PackedBaTree {
   static uint32_t BlockCount(const Page* p, uint32_t off) {
     return p->ReadAt<uint16_t>(off);
   }
-  void ReadBlockEntry(const Page* p, uint32_t block_off, uint32_t k,
-                      Point* pt, V* v) const {
-    uint32_t off = block_off + kBlockHeader + k * BorderEntrySize();
-    *pt = Point{};
+  uint32_t BlockEntryOff(uint32_t block_off, uint32_t k) const {
+    return block_off + kBlockHeader + k * BorderEntrySize();
+  }
+  Point BlockPoint(const Page* p, uint32_t block_off, uint32_t k) const {
+    const uint32_t off = BlockEntryOff(block_off, k);
+    Point pt;  // packed entries can be < kMaxDims
     for (int d = 0; d < dims_ - 1; ++d) {
-      (*pt)[d] = p->ReadAt<double>(off + 8 * static_cast<uint32_t>(d));
+      pt[d] = p->ReadAt<double>(off + 8 * static_cast<uint32_t>(d));
     }
-    p->ReadBytes(off + 8 * static_cast<uint32_t>(dims_ - 1), v, sizeof(V));
+    return pt;
+  }
+  V BlockValue(const Page* p, uint32_t block_off, uint32_t k) const {
+    V v;
+    p->ReadBytes(
+        BlockEntryOff(block_off, k) + 8 * static_cast<uint32_t>(dims_ - 1),
+        &v, sizeof(V));
+    return v;
   }
 
   // ---- node image load/store ---------------------------------------------
@@ -479,8 +450,8 @@ class PackedBaTree {
           uint32_t cnt = BlockCount(p, off);
           bi.inline_entries.resize(cnt);
           for (uint32_t k = 0; k < cnt; ++k) {
-            ReadBlockEntry(p, off, k, &bi.inline_entries[k].pt,
-                           &bi.inline_entries[k].value);
+            bi.inline_entries[k] = Entry{BlockPoint(p, off, k),
+                                         BlockValue(p, off, k)};
           }
         } else {
           bi.tree = static_cast<PageId>(ref);
@@ -591,126 +562,6 @@ class PackedBaTree {
     return Status::OK();
   }
 
-  // LINT:hot-path — descent: no heap allocation past warm-up (lint.sh)
-  /// One node of the batched descent: `idx[0..m)` are probe indices (already
-  /// clamped queries) whose paths all pass through `pid`. Probes are
-  /// assigned to the FIRST record whose box contains them, in page order.
-  /// Each probe adds its subtotal, then its inline borders in ascending
-  /// dimension order while the node is pinned, then its spilled border trees
-  /// in the same dimension order after the pin is dropped, then the
-  /// descent's contributions.
-  Status DominanceBatchRec(PageId pid, const uint32_t* idx, size_t m,
-                           const Point* qs, V* outs,
-                           unsigned obs_level = 0) const {
-    struct Spill {
-      int b;
-      PageId tree_root;
-    };
-    struct Group {
-      PageId child;
-      core::ArenaVector<uint32_t> members;  // original probe indices
-      core::ArenaVector<Spill> spills;
-    };
-    core::ArenaScope scope(core::ScratchArena());
-    core::ArenaVector<Group> groups;
-    {
-      PageGuard g;
-      BOXAGG_RETURN_NOT_OK(FetchNode(pid, &g));
-      obs::NoteNodeVisit(obs_level);
-      if (m > 1) pool_->NoteProbeFetchesSaved(m - 1);
-      const Page* page = g.page();
-      if (PageType(page) == kLeaf) {
-        uint32_t n = LeafCount(page);
-        for (size_t j = 0; j < m; ++j) {
-          const Point& q = qs[idx[j]];
-          V* out = &outs[idx[j]];
-          for (uint32_t i = 0; i < n; ++i) {
-            Point pt = LeafPoint(page, i);
-            if (simd::Dominates(q, pt, dims_)) {
-              V v;
-              ReadLeafValue(page, i, &v);
-              *out += v;
-            }
-          }
-        }
-        return Status::OK();
-      }
-      uint32_t n = IntCount(page);
-      core::ArenaVector<uint8_t> taken(m, 0);
-      size_t assigned = 0;
-      for (uint32_t i = 0; i < n && assigned < m; ++i) {
-        Box box = RecBox(page, i);
-        core::ArenaVector<uint32_t> members;
-        for (size_t j = 0; j < m; ++j) {
-          if (taken[j]) continue;
-          if (simd::ContainsHalfOpen(box, qs[idx[j]], dims_)) {
-            taken[j] = 1;
-            ++assigned;
-            members.push_back(idx[j]);
-          }
-        }
-        if (members.empty()) continue;
-        V sub;
-        ReadRecSubtotal(page, i, &sub);
-        for (uint32_t probe : members) outs[probe] += sub;
-        core::ArenaVector<Spill> spills;
-        for (int b = 0; b < dims_; ++b) {
-          uint64_t ref = RecBorderRef(page, i, b);
-          if (ref == kEmptyRef) continue;
-          if (IsInlineRef(ref)) {
-            // In-page scan: zero extra I/O — the packing payoff.
-            uint32_t off = InlineOffset(ref);
-            uint32_t cnt = BlockCount(page, off);
-            for (uint32_t probe : members) {
-              Point projected = qs[probe].DropDim(b, dims_);
-              for (uint32_t k = 0; k < cnt; ++k) {
-                Point pt;  // copied out: packed entries can be < kMaxDims
-                V v;
-                ReadBlockEntry(page, off, k, &pt, &v);
-                if (simd::Dominates(projected, pt, dims_ - 1)) outs[probe] += v;
-              }
-            }
-          } else {
-            spills.push_back(Spill{b, static_cast<PageId>(ref)});
-          }
-        }
-        groups.push_back(
-            Group{RecChild(page, i), std::move(members), std::move(spills)});
-      }
-      if (assigned != m) {
-        return Status::Corruption("query point not covered by any record");
-      }
-    }
-    // Spilled borders of this node before any descent.
-    core::ArenaVector<Point> pts;
-    core::ArenaVector<V> parts;
-    for (const Group& gr : groups) {
-      const size_t gs = gr.members.size();
-      for (const Spill& sp : gr.spills) {
-        pts.resize(gs);
-        parts.resize(gs);
-        for (size_t t = 0; t < gs; ++t) {
-          pts[t] = qs[gr.members[t]].DropDim(sp.b, dims_);
-        }
-        obs::NoteBorderProbes(gs);
-        PackedBaTree sub(pool_, dims_ - 1, sp.tree_root, view_);
-        BOXAGG_RETURN_NOT_OK(sub.DominanceSumBatch(pts.data(), gs,
-                                                   parts.data(),
-                                                   obs_level + 1));
-        for (size_t t = 0; t < gs; ++t) outs[gr.members[t]] += parts[t];
-      }
-    }
-    for (size_t gi = 0; gi < groups.size(); ++gi) {
-      if (gi + 1 < groups.size()) PrefetchNode(groups[gi + 1].child);
-      const Group& gr = groups[gi];
-      BOXAGG_RETURN_NOT_OK(DominanceBatchRec(gr.child, gr.members.data(),
-                                             gr.members.size(), qs, outs,
-                                             obs_level + 1));
-    }
-    return Status::OK();
-  }
-
-  // LINT:hot-path-end
   // ---- border image operations --------------------------------------------
 
   Status BorderImageInsert(BorderImage* b, const Point& projected,
@@ -1255,25 +1106,31 @@ class PackedBaTree {
     return Status::OK();
   }
 
-  Status PageCountRec(PageId pid, uint64_t* out) const {
-    std::vector<std::pair<PageId, bool>> kids;  // (pid-or-border, is_border)
-    {
-      PageGuard g;
-      BOXAGG_RETURN_NOT_OK(FetchNode(pid, &g));
-      const Page* p = g.page();
-      *out += 1;
-      if (PageType(p) == kLeaf) return Status::OK();
-      uint32_t n = IntCount(p);
-      for (uint32_t i = 0; i < n; ++i) {
-        kids.push_back({RecChild(p, i), false});
-        for (int b = 0; b < dims_; ++b) {
-          uint64_t ref = RecBorderRef(p, i, b);
-          if (ref != kEmptyRef && !IsInlineRef(ref)) {
-            kids.push_back({static_cast<PageId>(ref), true});
-          }
+  /// The children of node `pid`, each followed by its record's spilled
+  /// border roots (second = true); none for a leaf.
+  Status NodeKids(PageId pid,
+                  std::vector<std::pair<PageId, bool>>* kids) const {
+    PageGuard g;
+    BOXAGG_RETURN_NOT_OK(FetchNode(pid, &g));
+    const Page* p = g.page();
+    if (PageType(p) != kInternal) return Status::OK();
+    const uint32_t n = IntCount(p);
+    for (uint32_t i = 0; i < n; ++i) {
+      kids->push_back({RecChild(p, i), false});
+      for (int b = 0; b < dims_; ++b) {
+        const uint64_t ref = RecBorderRef(p, i, b);
+        if (ref != kEmptyRef && !IsInlineRef(ref)) {
+          kids->push_back({static_cast<PageId>(ref), true});
         }
       }
     }
+    return Status::OK();
+  }
+
+  Status PageCountRec(PageId pid, uint64_t* out) const {
+    std::vector<std::pair<PageId, bool>> kids;
+    BOXAGG_RETURN_NOT_OK(NodeKids(pid, &kids));
+    *out += 1;
     for (auto [kid, is_border] : kids) {
       if (is_border) {
         PackedBaTree sub(pool_, dims_ - 1, kid, view_);
@@ -1287,49 +1144,10 @@ class PackedBaTree {
     return Status::OK();
   }
 
-  Status ValidateRec(PageId pid, std::vector<Entry>* out) const {
-    {
-      PageGuard g;
-      BOXAGG_RETURN_NOT_OK(FetchNode(pid, &g));
-      if (PageType(g.page()) == kLeaf) {
-        uint32_t n = LeafCount(g.page());
-        for (uint32_t i = 0; i < n; ++i) {
-          Entry e;
-          e.pt = LeafPoint(g.page(), i);
-          ReadLeafValue(g.page(), i, &e.value);
-          out->push_back(e);
-        }
-        return Status::OK();
-      }
-    }
-    std::vector<RecImage> recs;
-    BOXAGG_RETURN_NOT_OK(LoadNode(pid, &recs));
-    size_t begin = out->size();
-    for (const RecImage& r : recs) {
-      size_t lo = out->size();
-      BOXAGG_RETURN_NOT_OK(ValidateRec(r.child, out));
-      for (size_t k = lo; k < out->size(); ++k) {
-        if (!r.box.ContainsPointHalfOpen((*out)[k].pt, dims_)) {
-          return Status::Corruption("subtree point escapes its record box");
-        }
-      }
-    }
-    for (size_t k = begin; k < out->size(); ++k) {
-      int owners = 0;
-      for (const RecImage& r : recs) {
-        if (r.box.ContainsPointHalfOpen((*out)[k].pt, dims_)) ++owners;
-      }
-      if (owners != 1) {
-        return Status::Corruption("record boxes do not tile the node scope");
-      }
-    }
-    return Status::OK();
-  }
-
   // ---- verification --------------------------------------------------------
 
-  /// Raw-layout checks of one packed internal page, then the ValidateRec
-  /// walk with border recursion. Collects leaf points like ValidateRec.
+  /// Raw-layout checks of one packed internal page, then the containment
+  /// and tiling walk with border recursion. Collects the leaf points.
   Status CheckRec(PageId pid, CheckContext* ctx,
                   std::vector<Entry>* out) const {
     BOXAGG_RETURN_NOT_OK(ctx->Visit(pid, "packed-ba-tree"));
@@ -1432,9 +1250,7 @@ class PackedBaTree {
         blocks.push_back({off, end});
         Point prev;
         for (uint32_t k = 0; k < cnt; ++k) {
-          Point pt;
-          V v;
-          ReadBlockEntry(p, off, k, &pt, &v);
+          const Point pt = BlockPoint(p, off, k);
           if (k > 0 && !LexLess(prev, pt, dims_ - 1)) {
             return CorruptionAt(
                 pid, "packed-ba-tree: inline border entries not strictly "
@@ -1468,52 +1284,9 @@ class PackedBaTree {
     return sub.CheckRec(broot, ctx, &scratch);
   }
 
-  Status SelfOracle(const std::vector<Entry>& pts) const {
-    const size_t step = pts.size() <= 400 ? 1 : pts.size() / 400;
-    for (size_t k = 0; k < pts.size(); k += step) {
-      for (double jitter : {0.0, 0.25}) {
-        Point q = pts[k].pt;
-        for (int d = 0; d < dims_; ++d) q[d] += jitter;
-        V got;
-        BOXAGG_RETURN_NOT_OK(DominanceSum(q, &got));
-        V want{};
-        for (const Entry& e : pts) {
-          if (q.Dominates(e.pt, dims_)) want += e.value;
-        }
-        want -= got;
-        double drift = 0;
-        if constexpr (std::is_same_v<V, double>) {
-          drift = std::abs(want);
-        } else {
-          for (double c : want.c) drift += std::abs(c);
-        }
-        if (drift > 1e-6) {
-          return Status::Corruption("self-oracle dominance-sum mismatch");
-        }
-      }
-    }
-    return Status::OK();
-  }
-
   Status DestroyRec(PageId pid) {
     std::vector<std::pair<PageId, bool>> kids;
-    {
-      PageGuard g;
-      BOXAGG_RETURN_NOT_OK(FetchNode(pid, &g));
-      const Page* p = g.page();
-      if (PageType(p) == kInternal) {
-        uint32_t n = IntCount(p);
-        for (uint32_t i = 0; i < n; ++i) {
-          kids.push_back({RecChild(p, i), false});
-          for (int b = 0; b < dims_; ++b) {
-            uint64_t ref = RecBorderRef(p, i, b);
-            if (ref != kEmptyRef && !IsInlineRef(ref)) {
-              kids.push_back({static_cast<PageId>(ref), true});
-            }
-          }
-        }
-      }
-    }
+    BOXAGG_RETURN_NOT_OK(NodeKids(pid, &kids));
     for (auto [kid, is_border] : kids) {
       if (is_border) {
         PackedBaTree sub(pool_, dims_ - 1, kid);
@@ -1530,6 +1303,87 @@ class PackedBaTree {
   PageId root_;
   const PageVersionView* view_ = nullptr;  // non-null: snapshot-bound reads
 };
+
+// LINT:hot-path — descent node reader: no heap allocation (lint.sh)
+/// Node reader for descent::PointBatch: the AggBTree reader for spilled
+/// 1-d borders, plus packed BA nodes read in place from the pinned page
+/// (through the pinned generation when the tree is snapshot-bound).
+template <class V>
+class PackedBaTree<V>::Reader : public AggBTree<V>::Reader {
+ public:
+  using AggBTree<V>::Reader::Reader;
+  using AggBTree<V>::Reader::Fetch;
+
+  /// An inline border block (a run of (dims-1)-d entries) or a spill.
+  class Border {
+   public:
+    bool spilled = false;
+    PageId root = kInvalidPageId;
+    uint32_t size() const { return cnt_; }
+    Point point(uint32_t k) const {
+      return layout_->BlockPoint(page_, off_, k);
+    }
+    V value(uint32_t k) const { return layout_->BlockValue(page_, off_, k); }
+
+   private:
+    friend class Reader;
+    const PackedBaTree* layout_ = nullptr;  // the node's, at its dims
+    const Page* page_ = nullptr;
+    uint32_t off_ = 0;
+    uint32_t cnt_ = 0;
+  };
+
+  /// A pinned leaf (a run of its entries) or internal node.
+  class BaNode {
+   public:
+    bool leaf() const { return PageType(page_) == kLeaf; }
+    uint32_t count() const { return IntCount(page_); }
+    uint32_t size() const { return LeafCount(page_); }
+    Point point(uint32_t k) const { return LeafPoint(page_, k); }
+    V value(uint32_t k) const {
+      V v;
+      ReadLeafValue(page_, k, &v);
+      return v;
+    }
+    Box box(uint32_t i) const { return layout_.RecBox(page_, i); }
+    V subtotal(uint32_t i) const {
+      V v;
+      layout_.ReadRecSubtotal(page_, i, &v);
+      return v;
+    }
+    PageId child(uint32_t i) const { return layout_.RecChild(page_, i); }
+    Status SkipBorders(uint32_t) const { return Status::OK(); }
+    Status ReadBorder(uint32_t i, int b, Border* out) const {
+      const uint64_t ref = layout_.RecBorderRef(page_, i, b);
+      if (ref == kEmptyRef) return Status::OK();
+      if (!IsInlineRef(ref)) {
+        out->spilled = true;
+        out->root = static_cast<PageId>(ref);
+        return Status::OK();
+      }
+      out->layout_ = &layout_;
+      out->page_ = page_;
+      out->off_ = InlineOffset(ref);
+      out->cnt_ = BlockCount(page_, out->off_);
+      return Status::OK();
+    }
+
+   private:
+    friend class Reader;
+    PackedBaTree layout_{nullptr, 2};  // re-bound to the node's dims by Fetch
+    PageGuard guard_;
+    const Page* page_ = nullptr;
+  };
+
+  Status Fetch(PageId pid, int dims, BaNode* node) const {
+    node->layout_ =
+        PackedBaTree(this->pool_, dims, kInvalidPageId, this->view_);
+    BOXAGG_RETURN_NOT_OK(this->FetchPage(pid, &node->guard_));
+    node->page_ = node->guard_.page();
+    return Status::OK();
+  }
+};
+// LINT:hot-path-end
 
 }  // namespace boxagg
 

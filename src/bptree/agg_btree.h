@@ -36,8 +36,7 @@
 #include <vector>
 
 #include "check/checkable.h"
-#include "core/arena.h"
-#include "obs/query_obs.h"
+#include "core/dominance_descent.h"
 #include "simd/simd.h"
 #include "storage/buffer_pool.h"
 
@@ -143,33 +142,22 @@ class AggBTree {
     return DominanceSumBatch(&q, 1, out);
   }
 
-  // LINT:hot-path — descent: no heap allocation past warm-up (lint.sh)
-  /// Batched dominance sums: outs[i] = sum of values over keys <= qs[i]. The
-  /// result of every probe is bit-identical whatever batch it rides in —
-  /// each probe performs the same per-node additions in the same order; only
-  /// the traversal order across probes and the page-fetch count change.
-  /// Probes are routed in sorted key order and grouped by child, so each
-  /// tree page is fetched and pinned at most once per batch. With count == 1
-  /// the descent fetches one node per level, root to leaf.
+  /// Batched dominance sums: outs[i] = sum of values over keys <= qs[i],
+  /// answered by the shared descent (core/dominance_descent.h). Probes are
+  /// routed in sorted key order and grouped by child, so each tree page is
+  /// fetched and pinned at most once per batch; the result of every probe
+  /// is bit-identical whatever batch it rides in. With count == 1 the
+  /// descent fetches one node per level, root to leaf.
   ///
   /// `obs_level` offsets the per-level node-visit attribution (obs/): a
   /// border sub-tree embedded at parent level L passes L+1 so its root
   /// counts at the depth it actually sits in the composite structure.
   Status DominanceSumBatch(const double* qs, size_t count, V* outs,
                            unsigned obs_level = 0) const {
-    for (size_t i = 0; i < count; ++i) outs[i] = V{};
-    if (root_ == kInvalidPageId || count == 0) return Status::OK();
-    core::ArenaScope scope(core::ScratchArena());
-    core::ArenaVector<uint32_t> order(count);
-    for (size_t i = 0; i < count; ++i) order[i] = static_cast<uint32_t>(i);
-    std::sort(order.begin(), order.end(), [qs](uint32_t a, uint32_t b) {
-      if (qs[a] != qs[b]) return qs[a] < qs[b];
-      return a < b;
-    });
-    return DominanceBatchRec(root_, order.data(), count, qs, outs, obs_level);
+    return descent::KeyBatch(Reader(pool_, view_), root_, qs, count, outs,
+                             obs_level);
   }
 
-  // LINT:hot-path-end
   /// Sum of all values in the tree.
   Status TotalSum(V* out) const {
     *out = V{};
@@ -311,6 +299,81 @@ class AggBTree {
     return CheckRec(root_, /*is_root=*/true, ctx, &facts);
   }
 
+  // LINT:hot-path — descent node reader: no heap allocation (lint.sh)
+  /// Node reader for the shared descent (core/dominance_descent.h): reads
+  /// each node in place from its pinned page, through the pinned
+  /// generation when `view` is non-null. PackedBaTree's reader extends it.
+  class Reader {
+   public:
+    using Value = V;
+    using Ref = PageId;
+    static constexpr Ref kNull = kInvalidPageId;
+
+    class AggNode {
+     public:
+      bool leaf() const { return leaf_; }
+      uint32_t count() const { return n_; }
+      const double* keys() const {
+        return reinterpret_cast<const double*>(base_ + kHeaderSize);
+      }
+      V value(uint32_t i) const { return Load<V>(size_t{i} * sizeof(V)); }
+      V sum(uint32_t i) const { return Load<V>(size_t{i} * kInternalRec + 8); }
+      PageId child(uint32_t i) const {
+        return Load<PageId>(size_t{i} * kInternalRec);
+      }
+
+     private:
+      friend class Reader;
+      template <class T>
+      T Load(size_t off) const {
+        T t;
+        std::memcpy(&t, payload_ + off, sizeof(T));
+        return t;
+      }
+      PageGuard guard_;
+      const uint8_t* base_ = nullptr;
+      const uint8_t* payload_ = nullptr;  // leaf values or {child, sum} recs
+      uint32_t n_ = 0;
+      bool leaf_ = false;
+    };
+
+    Reader(BufferPool* pool, const PageVersionView* view)
+        : pool_(pool), view_(view) {}
+
+    Status Fetch(PageId pid, AggNode* node) const {
+      BOXAGG_RETURN_NOT_OK(FetchPage(pid, &node->guard_));
+      const Page* p = node->guard_.page();
+      const uint32_t page_size = pool_->file()->page_size();
+      node->base_ = p->data();
+      node->n_ = Count(p);
+      node->leaf_ = Type(p) == kLeaf;
+      node->payload_ = node->base_ + (node->leaf_
+                                          ? LeafValueOffset(page_size, 0)
+                                          : InternalChildOffset(page_size, 0));
+      return Status::OK();
+    }
+    void Prefetch(PageId pid) const {
+      if (view_ != nullptr) {
+        pool_->PrefetchSnapshotHint(*view_, pid);
+      } else {
+        pool_->PrefetchHint(pid);
+      }
+    }
+    void NoteProbeFetchesSaved(uint64_t n) const {
+      pool_->NoteProbeFetchesSaved(n);
+    }
+    /// Node fetch: live page table, or the pinned generation.
+    Status FetchPage(PageId pid, PageGuard* g) const {
+      return view_ != nullptr ? pool_->FetchSnapshot(*view_, pid, g)
+                              : pool_->Fetch(pid, g);
+    }
+
+   protected:
+    BufferPool* pool_;
+    const PageVersionView* view_;
+  };
+  // LINT:hot-path-end
+
  private:
   // The replica builder snapshots nodes through the raw accessors below.
   template <class>
@@ -346,15 +409,7 @@ class AggBTree {
   /// Node fetch: live page table, or the pinned generation when this
   /// handle carries a view.
   Status FetchNode(PageId pid, PageGuard* g) const {
-    return view_ != nullptr ? pool_->FetchSnapshot(*view_, pid, g)
-                            : pool_->Fetch(pid, g);
-  }
-  void PrefetchNode(PageId pid) const {
-    if (view_ != nullptr) {
-      pool_->PrefetchSnapshotHint(*view_, pid);
-    } else {
-      pool_->PrefetchHint(pid);
-    }
+    return Reader(pool_, view_).FetchPage(pid, g);
   }
 
   // ---- page accessors -----------------------------------------------------
@@ -562,84 +617,6 @@ class AggBTree {
 
   // ---- traversal ----------------------------------------------------------
 
-  // LINT:hot-path — descent: no heap allocation past warm-up (lint.sh)
-  /// One node of the batched descent: `idx[0..m)` are probe indices sorted
-  /// by key whose paths all pass through `pid`. The node is fetched once,
-  /// and its pin is dropped before descending, so a descent holds at most
-  /// one pin per tree.
-  /// Scratch comes from the thread-local arena (zero heap traffic once
-  /// warm); before descending into a group, the next group's child page is
-  /// software-prefetched so its header and key strip are in cache when its
-  /// turn comes.
-  Status DominanceBatchRec(PageId pid, const uint32_t* idx, size_t m,
-                           const double* qs, V* outs,
-                           unsigned obs_level = 0) const {
-    struct Group {
-      PageId child;
-      size_t begin;
-      size_t end;
-    };
-    core::ArenaScope scope(core::ScratchArena());
-    core::ArenaVector<Group> groups;
-    {
-      PageGuard g;
-      BOXAGG_RETURN_NOT_OK(FetchNode(pid, &g));
-      obs::NoteNodeVisit(obs_level);
-      if (m > 1) pool_->NoteProbeFetchesSaved(m - 1);
-      const Page* p = g.page();
-      const uint8_t* base = p->data();
-      const uint32_t page_size = pool_->file()->page_size();
-      uint32_t n = Count(p);
-      if (Type(p) == kLeaf) {
-        const double* keys =
-            reinterpret_cast<const double*>(base + kHeaderSize);
-        const uint8_t* vals = base + LeafValueOffset(page_size, 0);
-        for (size_t j = 0; j < m; ++j) {
-          const double q = qs[idx[j]];
-          V* out = &outs[idx[j]];
-          const uint32_t cut = simd::FirstGreater(keys, n, q);
-          for (uint32_t i = 0; i < cut; ++i) {
-            V v;
-            std::memcpy(&v, vals + size_t{i} * sizeof(V), sizeof(V));
-            *out += v;
-          }
-        }
-        return Status::OK();
-      }
-      // Sorted probes route monotonically, so per-child groups are
-      // contiguous runs of idx.
-      const uint8_t* recs = base + InternalChildOffset(page_size, 0);
-      size_t j = 0;
-      while (j < m) {
-        const uint32_t route = RouteInternal(p, n, qs[idx[j]]);
-        size_t k = j + 1;
-        while (k < m && RouteInternal(p, n, qs[idx[k]]) == route) ++k;
-        for (size_t t = j; t < k; ++t) {
-          V* out = &outs[idx[t]];
-          for (uint32_t i = 0; i < route; ++i) {
-            V s;
-            std::memcpy(&s, recs + size_t{i} * kInternalRec + 8, sizeof(V));
-            *out += s;
-          }
-        }
-        PageId child;
-        std::memcpy(&child, recs + size_t{route} * kInternalRec,
-                    sizeof(PageId));
-        groups.push_back(Group{child, j, k});
-        j = k;
-      }
-    }
-    for (size_t gi = 0; gi < groups.size(); ++gi) {
-      if (gi + 1 < groups.size()) PrefetchNode(groups[gi + 1].child);
-      const Group& gr = groups[gi];
-      BOXAGG_RETURN_NOT_OK(DominanceBatchRec(gr.child, idx + gr.begin,
-                                             gr.end - gr.begin, qs, outs,
-                                             obs_level + 1));
-    }
-    return Status::OK();
-  }
-
-  // LINT:hot-path-end
   Status ScanRec(PageId pid, std::vector<Entry>* out) const {
     PageGuard g;
     BOXAGG_RETURN_NOT_OK(FetchNode(pid, &g));

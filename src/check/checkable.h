@@ -137,6 +137,35 @@ double AggDrift(const V& a, const V& b) {
 /// drift (a lost or double-counted entry shifts sums by >= one value).
 inline constexpr double kAggDriftTolerance = 1e-6;
 
+/// Sampled self-oracle of a dominance-sum index over its own points `pts`:
+/// at about 400 of them, as-is and shifted by +0.25 in every dimension,
+/// index.DominanceSum must match a linear scan of `pts` within
+/// kAggDriftTolerance. It catches a wrong stored aggregate that no
+/// structural check can re-derive.
+template <class Index, class Entry>
+Status SelfOracle(const Index& index, const std::vector<Entry>& pts,
+                  int dims, const char* structure) {
+  using V = decltype(Entry::value);
+  const size_t step = pts.size() <= 400 ? 1 : pts.size() / 400;
+  for (size_t k = 0; k < pts.size(); k += step) {
+    for (double jitter : {0.0, 0.25}) {
+      auto q = pts[k].pt;
+      for (int d = 0; d < dims; ++d) q[d] += jitter;
+      V got{};
+      BOXAGG_RETURN_NOT_OK(index.DominanceSum(q, &got));
+      V want{};
+      for (const Entry& e : pts) {
+        if (q.Dominates(e.pt, dims)) want += e.value;
+      }
+      if (AggDrift(want, got) > kAggDriftTolerance) {
+        return Status::Corruption(std::string(structure) +
+                                  ": self-oracle dominance-sum mismatch");
+      }
+    }
+  }
+  return Status::OK();
+}
+
 }  // namespace boxagg
 
 #endif  // BOXAGG_CHECK_CHECKABLE_H_

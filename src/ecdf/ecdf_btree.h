@@ -344,7 +344,7 @@ class EcdfBTree {
           std::vector<Entry> pts(
               entries.begin() + static_cast<ptrdiff_t>(bb),
               entries.begin() + static_cast<ptrdiff_t>(u.end));
-          PageId border;
+          PageId border = kInvalidPageId;
           BOXAGG_RETURN_NOT_OK(BuildBorder(pts, &border));
           WriteInternalEntry(g.page(), static_cast<uint32_t>(k), u.lowkey,
                              u.pid, border, u.sum);

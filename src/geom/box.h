@@ -115,7 +115,14 @@ struct Box {
   }
 
   std::string ToString(int dims) const {
-    return "[" + lo.ToString(dims) + " .. " + hi.ToString(dims) + "]";
+    // Appended piece by piece: gcc 12 reports a false -Wrestrict inside
+    // the inlined std::string operator+ chain.
+    std::string s = "[";
+    s += lo.ToString(dims);
+    s += " .. ";
+    s += hi.ToString(dims);
+    s += "]";
+    return s;
   }
 };
 

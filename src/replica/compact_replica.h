@@ -4,10 +4,13 @@
 // DESIGN.md §13 has the full layout diagram and the rebuild plan.
 //
 // The replica plugs into BoxSumIndex unchanged: it answers DominanceSumBatch
-// with results BYTE-IDENTICAL to the source tree — the descent mirrors
-// PackedBaTree / AggBTree addition for addition (same values, same order,
-// FP addition is not associative), it only reads them from
-// delta/dictionary-compressed strips instead of pointer-rich pages.
+// with results BYTE-IDENTICAL to the source tree, because it runs the same
+// descent (core/dominance_descent.h) — same values, same order, FP addition
+// is not associative. Only its node reader differs: it decodes
+// delta/dictionary-compressed strips instead of reading pointer-rich pages,
+// and it bounds-checks every byte it decodes, so hostile node bytes yield a
+// Corruption status rather than an out-of-bounds read. The audit
+// (CheckConsistency) decodes through the same reader.
 // Mutation entry points refuse with InvalidArgument: replicas are rebuilt
 // from the writer tree at generation publish, never patched in place.
 //
@@ -19,17 +22,16 @@
 // single-threaded convenience.
 //
 // I/O discipline: one BufferPool::Fetch per node visit, paired with one
-// obs::NoteNodeVisit — the replica keeps boxagg_stats' attribution
-// identity sum(node_visits) == logical_reads intact. Batched descents note
-// saved probe fetches and PrefetchHint the next group's page exactly like
-// the live trees.
+// obs::NoteNodeVisit — the shared descent keeps boxagg_stats' attribution
+// identity sum(node_visits) == logical_reads intact, and notes saved probe
+// fetches and PrefetchHints the next group's page exactly like the live
+// trees.
 
 #ifndef BOXAGG_REPLICA_COMPACT_REPLICA_H_
 #define BOXAGG_REPLICA_COMPACT_REPLICA_H_
 
 #include <algorithm>
 #include <cstring>
-#include <limits>
 #include <memory>
 #include <string>
 #include <type_traits>
@@ -37,12 +39,11 @@
 
 #include "check/checkable.h"
 #include "core/arena.h"
+#include "core/dominance_descent.h"
 #include "core/point_entry.h"
 #include "geom/box.h"
 #include "geom/point.h"
-#include "obs/query_obs.h"
 #include "replica/replica_format.h"
-#include "simd/simd.h"
 #include "storage/buffer_pool.h"
 #include "storage/page_header.h"
 
@@ -70,105 +71,10 @@ class CompactReplica {
   Status Open() {
     if (cache_) return Status::OK();
     auto c = std::make_shared<Cache>();
-    if (root_ == kInvalidPageId) {
-      cache_ = std::move(c);  // empty replica: every sum is V{}
-      return Status::OK();
+    if (root_ != kInvalidPageId) {
+      BOXAGG_RETURN_NOT_OK(LoadCache(nullptr, c.get()));
     }
-    uint64_t data_page_count = 0, meta_page_count = 0;
-    uint64_t key_dict_count = 0, val_dict_count = 0;
-    PageId first_meta = kInvalidPageId;
-    {
-      PageGuard g;
-      BOXAGG_RETURN_NOT_OK(pool_->Fetch(root_, &g));
-      const Page* p = g.page();
-      if (p->ReadAt<uint16_t>(replica::kHdrType) != replica::kHeaderPageType) {
-        return CorruptionAt(root_, "compact-replica: not a replica header");
-      }
-      if (p->ReadAt<uint16_t>(replica::kHdrVersion) !=
-          replica::kFormatVersion) {
-        return CorruptionAt(root_, "compact-replica: unknown format version");
-      }
-      if (Crc32c(p->data(), replica::kHdrCrc) !=
-          p->ReadAt<uint32_t>(replica::kHdrCrc)) {
-        return CorruptionAt(root_, "compact-replica: header crc mismatch");
-      }
-      if (p->ReadAt<uint32_t>(replica::kHdrDims) !=
-          static_cast<uint32_t>(dims_)) {
-        return CorruptionAt(root_, "compact-replica: dims mismatch");
-      }
-      if (p->ReadAt<uint32_t>(replica::kHdrValueSize) != sizeof(V)) {
-        return CorruptionAt(root_, "compact-replica: value size mismatch");
-      }
-      c->node_count = p->ReadAt<uint64_t>(replica::kHdrNodeCount);
-      c->entry_count = p->ReadAt<uint64_t>(replica::kHdrEntryCount);
-      c->data_bytes = p->ReadAt<uint64_t>(replica::kHdrDataBytes);
-      data_page_count = p->ReadAt<uint64_t>(replica::kHdrDataPageCount);
-      meta_page_count = p->ReadAt<uint64_t>(replica::kHdrMetaPageCount);
-      key_dict_count = p->ReadAt<uint64_t>(replica::kHdrKeyDictCount);
-      val_dict_count = p->ReadAt<uint64_t>(replica::kHdrValDictCount);
-      first_meta = p->ReadAt<uint64_t>(replica::kHdrFirstMeta);
-    }
-    std::vector<uint8_t> meta;
-    meta.reserve((data_page_count + c->node_count + key_dict_count +
-                  val_dict_count) *
-                 sizeof(uint64_t));
-    for (PageId pid = first_meta; pid != kInvalidPageId;) {
-      if (c->meta_pages.size() >= meta_page_count) {
-        return CorruptionAt(pid, "compact-replica: meta chain too long");
-      }
-      PageGuard g;
-      BOXAGG_RETURN_NOT_OK(pool_->Fetch(pid, &g));
-      const Page* p = g.page();
-      if (p->ReadAt<uint16_t>(0) != replica::kMetaPageType) {
-        return CorruptionAt(pid, "compact-replica: bad meta page type");
-      }
-      const uint32_t len = p->ReadAt<uint32_t>(replica::kMetaPayloadLen);
-      if (replica::kMetaHeaderBytes + len > p->size()) {
-        return CorruptionAt(pid, "compact-replica: meta payload overruns");
-      }
-      if (Crc32c(p->data() + replica::kMetaHeaderBytes, len) !=
-          p->ReadAt<uint32_t>(replica::kMetaCrc)) {
-        return CorruptionAt(pid, "compact-replica: meta crc mismatch");
-      }
-      const PageId next = p->ReadAt<uint64_t>(replica::kMetaNext);
-      if (next != kInvalidPageId) pool_->PrefetchHint(next);
-      meta.insert(meta.end(), p->data() + replica::kMetaHeaderBytes,
-                  p->data() + replica::kMetaHeaderBytes + len);
-      c->meta_pages.push_back(pid);
-      pid = next;
-    }
-    if (c->meta_pages.size() != meta_page_count) {
-      return CorruptionAt(root_, "compact-replica: meta chain truncated");
-    }
-    const uint64_t expected = (data_page_count + c->node_count +
-                               key_dict_count + val_dict_count) *
-                              sizeof(uint64_t);
-    if (meta.size() != expected) {
-      return CorruptionAt(root_, "compact-replica: meta payload size drift");
-    }
-    const uint8_t* m = meta.data();
-    TakeU64s(&m, data_page_count, &c->data_pages);
-    TakeU64s(&m, c->node_count, &c->dir);
-    c->key_dict.resize(key_dict_count);
-    for (uint64_t i = 0; i < key_dict_count; ++i) {
-      uint64_t mapped;
-      std::memcpy(&mapped, m + i * 8, 8);
-      c->key_dict[i] = replica::UnmapDouble(mapped);
-    }
-    m += key_dict_count * 8;
-    c->val_dict.resize(val_dict_count);
-    for (uint64_t i = 0; i < val_dict_count; ++i) {
-      uint64_t mapped;
-      std::memcpy(&mapped, m + i * 8, 8);
-      c->val_dict[i] = replica::UnmapOrderedBits(mapped);
-    }
-    for (const uint64_t de : c->dir) {
-      if ((de >> 32) >= data_page_count) {
-        return CorruptionAt(root_, "compact-replica: directory page index "
-                                   "out of range");
-      }
-    }
-    cache_ = std::move(c);
+    cache_ = std::move(c);  // an empty replica answers V{} everywhere
     return Status::OK();
   }
 
@@ -188,24 +94,16 @@ class CompactReplica {
     return DominanceSumBatch(&q, 1, out);
   }
 
-  // LINT:hot-path — replica descent: no heap allocation past warm-up (lint.sh)
-  /// Batched dominance sums; mirrors PackedBaTree::DominanceSumBatch (and
-  /// AggBTree's when dims == 1) addition for addition, so results are
-  /// byte-identical to the source tree. The grouping discipline is the live
-  /// trees' too (first containing record wins, spilled borders before
-  /// descents, prefetch hints between groups), so a batch visits the nodes
-  /// the same batch visits in the source tree.
+  /// Batched dominance sums through the shared descent; byte-identical to
+  /// the source tree's, batch for batch.
   Status DominanceSumBatch(const Point* queries, size_t count, V* outs,
                            unsigned obs_level = 0) const {
-    for (size_t i = 0; i < count; ++i) outs[i] = V{};
     BOXAGG_RETURN_NOT_OK(EnsureOpen());
-    const Cache& c = *cache_;
-    if (root_ == kInvalidPageId || c.node_count == 0 || count == 0) {
-      return Status::OK();
-    }
-    return SortedBatch(c, 0, queries, count, outs, dims_, obs_level);
+    const Reader reader(pool_, cache_.get());
+    return descent::PointBatch(
+        reader, cache_->node_count == 0 ? Reader::kNull : 0, queries, count,
+        dims_, outs, obs_level);
   }
-  // LINT:hot-path-end
 
   /// Header + meta chain + data pages.
   Status PageCount(uint64_t* out) const {
@@ -240,8 +138,113 @@ class CompactReplica {
   /// entries against the header's entry_count, and the self-oracle.
   Status CheckConsistency(CheckContext* ctx) const {
     if (root_ == kInvalidPageId) return Status::OK();
-    BOXAGG_RETURN_NOT_OK(ctx->Visit(root_, "compact-replica"));
     Cache c;
+    BOXAGG_RETURN_NOT_OK(LoadCache(ctx, &c));
+    // Data pages: visit + envelope-check every one (FetchMulti in chunks —
+    // the physical sweep fsck wants), and pin down per-page node counts.
+    std::vector<uint32_t> nodes_in_page(c.data_pages.size(), 0);
+    for (const uint64_t de : c.dir) ++nodes_in_page[de >> 32];
+    constexpr size_t kSweepChunk = 32;
+    for (size_t base = 0; base < c.data_pages.size(); base += kSweepChunk) {
+      const size_t n = std::min(kSweepChunk, c.data_pages.size() - base);
+      std::vector<PageGuard> guards;
+      BOXAGG_RETURN_NOT_OK(
+          pool_->FetchMulti(c.data_pages.data() + base, n, &guards));
+      for (size_t k = 0; k < n; ++k) {
+        const PageId pid = c.data_pages[base + k];
+        BOXAGG_RETURN_NOT_OK(ctx->Visit(pid, "compact-replica"));
+        const Page* p = guards[k].page();
+        if (p->ReadAt<uint16_t>(0) != replica::kDataPageType) {
+          return CorruptionAt(pid, "compact-replica: bad data page type");
+        }
+        const uint32_t len = p->ReadAt<uint32_t>(replica::kDataPayloadLen);
+        if (replica::kDataHeaderBytes + len > p->size()) {
+          return CorruptionAt(pid, "compact-replica: data payload overruns "
+                                   "the page");
+        }
+        if (Crc32c(p->data() + replica::kDataHeaderBytes, len) !=
+            p->ReadAt<uint32_t>(replica::kDataCrc)) {
+          return CorruptionAt(pid, "compact-replica: data crc mismatch");
+        }
+        if (p->ReadAt<uint16_t>(replica::kDataNodeCount) !=
+            nodes_in_page[base + k]) {
+          return CorruptionAt(pid, "compact-replica: node count disagrees "
+                                   "with the directory");
+        }
+      }
+    }
+    // Structural walk: strict re-decode from ordinal 0 through Reader
+    // (which also checks each node's directory offset), each ordinal
+    // reached exactly once, subtree aggregates re-derived, entries counted.
+    if (c.node_count == 0) {
+      if (c.entry_count != 0) {
+        return CorruptionAt(root_, "compact-replica: empty replica with a "
+                                   "non-zero entry count");
+      }
+      return Status::OK();
+    }
+    std::vector<uint8_t> reached(c.node_count, 0);
+    uint64_t entries = 0;
+    std::vector<Entry> pts;
+    WalkInfo info;
+    BOXAGG_RETURN_NOT_OK(CheckNodeRec(Reader(pool_, &c), 0, dims_, &reached,
+                                      &entries, &pts, &info));
+    for (uint64_t i = 0; i < c.node_count; ++i) {
+      if (!reached[i]) {
+        return CorruptionAt(root_, "compact-replica: ordinal " +
+                                       std::to_string(i) +
+                                       " unreachable from the root");
+      }
+    }
+    if (entries != c.entry_count) {
+      return CorruptionAt(
+          root_, "compact-replica: encoded entries (" +
+                     std::to_string(entries) + ") != source root count (" +
+                     std::to_string(c.entry_count) + ")");
+    }
+    if (ctx->check_oracle) {
+      BOXAGG_RETURN_NOT_OK(EnsureOpen());
+      BOXAGG_RETURN_NOT_OK(SelfOracle(*this, pts, dims_, "compact-replica"));
+    }
+    return Status::OK();
+  }
+
+ private:
+  struct Cache {
+    uint64_t node_count = 0;
+    uint64_t entry_count = 0;
+    std::vector<PageId> meta_pages;
+    std::vector<PageId> data_pages;
+    std::vector<uint64_t> dir;  // ordinal -> (page_index << 32 | offset)
+    std::vector<double> key_dict;
+    std::vector<uint64_t> val_dict;  // raw V bit patterns
+  };
+
+  /// Copies `n` u64s from *m into *out and advances *m. An empty replica
+  /// has an empty meta payload, so *m may be null when n == 0, which
+  /// memcpy does not allow even for zero bytes.
+  static void TakeU64s(const uint8_t** m, uint64_t n,
+                       std::vector<uint64_t>* out) {
+    out->resize(n);
+    if (n > 0) std::memcpy(out->data(), *m, n * 8);
+    *m += n * 8;
+  }
+
+  Status EnsureOpen() const {
+    if (cache_) return Status::OK();
+    return const_cast<CompactReplica*>(this)->Open();
+  }
+
+  /// Parses the header page and the meta chain into *c — data page ids,
+  /// directory and both dictionaries — checking every field against the
+  /// others: page types, format version, crc envelopes, dims, value size,
+  /// level count, chain length, payload size, strictly increasing
+  /// dictionaries and directory page indexes. With a non-null `ctx` (the
+  /// audit) every page it reads is also marked visited.
+  Status LoadCache(CheckContext* ctx, Cache* c) const {
+    if (ctx != nullptr) {
+      BOXAGG_RETURN_NOT_OK(ctx->Visit(root_, "compact-replica"));
+    }
     uint64_t data_page_count = 0, meta_page_count = 0;
     uint64_t key_dict_count = 0, val_dict_count = 0;
     PageId first_meta = kInvalidPageId;
@@ -273,23 +276,23 @@ class CompactReplica {
         return CorruptionAt(root_, "compact-replica: level count out of "
                                    "range");
       }
-      c.node_count = p->ReadAt<uint64_t>(replica::kHdrNodeCount);
-      c.entry_count = p->ReadAt<uint64_t>(replica::kHdrEntryCount);
-      c.data_bytes = p->ReadAt<uint64_t>(replica::kHdrDataBytes);
+      c->node_count = p->ReadAt<uint64_t>(replica::kHdrNodeCount);
+      c->entry_count = p->ReadAt<uint64_t>(replica::kHdrEntryCount);
       data_page_count = p->ReadAt<uint64_t>(replica::kHdrDataPageCount);
       meta_page_count = p->ReadAt<uint64_t>(replica::kHdrMetaPageCount);
       key_dict_count = p->ReadAt<uint64_t>(replica::kHdrKeyDictCount);
       val_dict_count = p->ReadAt<uint64_t>(replica::kHdrValDictCount);
       first_meta = p->ReadAt<uint64_t>(replica::kHdrFirstMeta);
     }
-    // Meta chain: envelope checks + payload reassembly.
     std::vector<uint8_t> meta;
     for (PageId pid = first_meta; pid != kInvalidPageId;) {
-      if (c.meta_pages.size() >= meta_page_count) {
+      if (c->meta_pages.size() >= meta_page_count) {
         return CorruptionAt(pid, "compact-replica: meta chain longer than "
                                  "the header's count");
       }
-      BOXAGG_RETURN_NOT_OK(ctx->Visit(pid, "compact-replica"));
+      if (ctx != nullptr) {
+        BOXAGG_RETURN_NOT_OK(ctx->Visit(pid, "compact-replica"));
+      }
       PageGuard g;
       BOXAGG_RETURN_NOT_OK(pool_->Fetch(pid, &g));
       const Page* p = g.page();
@@ -297,7 +300,7 @@ class CompactReplica {
         return CorruptionAt(pid, "compact-replica: bad meta page type");
       }
       const uint32_t len = p->ReadAt<uint32_t>(replica::kMetaPayloadLen);
-      if (replica::kMetaHeaderBytes + len > p->size()) {
+      if (len > p->size() - replica::kMetaHeaderBytes) {
         return CorruptionAt(pid, "compact-replica: meta payload overruns "
                                  "the page");
       }
@@ -305,475 +308,392 @@ class CompactReplica {
           p->ReadAt<uint32_t>(replica::kMetaCrc)) {
         return CorruptionAt(pid, "compact-replica: meta crc mismatch");
       }
+      const PageId next = p->ReadAt<uint64_t>(replica::kMetaNext);
+      if (next != kInvalidPageId) pool_->PrefetchHint(next);
       meta.insert(meta.end(), p->data() + replica::kMetaHeaderBytes,
                   p->data() + replica::kMetaHeaderBytes + len);
-      c.meta_pages.push_back(pid);
-      pid = p->ReadAt<uint64_t>(replica::kMetaNext);
+      c->meta_pages.push_back(pid);
+      pid = next;
     }
-    if (c.meta_pages.size() != meta_page_count) {
+    if (c->meta_pages.size() != meta_page_count) {
       return CorruptionAt(root_, "compact-replica: meta chain truncated");
     }
-    if (meta.size() != (data_page_count + c.node_count + key_dict_count +
-                        val_dict_count) *
-                           sizeof(uint64_t)) {
+    // The four sections must fill the payload exactly; each count is
+    // checked against what is left, so no product can overflow.
+    uint64_t words = meta.size() / 8;
+    bool fits = meta.size() % 8 == 0;
+    for (uint64_t n : {data_page_count, c->node_count, key_dict_count,
+                       val_dict_count}) {
+      fits = fits && n <= words;
+      if (fits) words -= n;
+    }
+    if (!fits || words != 0) {
       return CorruptionAt(root_, "compact-replica: meta payload size drift");
     }
     const uint8_t* m = meta.data();
-    TakeU64s(&m, data_page_count, &c.data_pages);
-    TakeU64s(&m, c.node_count, &c.dir);
-    // Dictionaries must be strictly increasing in the order-mapped domain
-    // (the builder emits them sorted + deduplicated; the strip encoder's
-    // binary search depends on it).
-    c.key_dict.resize(key_dict_count);
-    uint64_t prev = 0;
-    for (uint64_t i = 0; i < key_dict_count; ++i) {
-      uint64_t mapped;
-      std::memcpy(&mapped, m + i * 8, 8);
-      if (i > 0 && mapped <= prev) {
-        return CorruptionAt(root_, "compact-replica: key dictionary not "
-                                   "strictly sorted");
+    TakeU64s(&m, data_page_count, &c->data_pages);
+    TakeU64s(&m, c->node_count, &c->dir);
+    std::vector<uint64_t> key_bits, val_bits;
+    TakeU64s(&m, key_dict_count, &key_bits);
+    TakeU64s(&m, val_dict_count, &val_bits);
+    // Dictionaries are strictly increasing in the order-mapped domain (the
+    // builder emits them sorted and deduplicated).
+    for (const auto* dict : {&key_bits, &val_bits}) {
+      for (size_t i = 1; i < dict->size(); ++i) {
+        if ((*dict)[i] <= (*dict)[i - 1]) {
+          return CorruptionAt(root_, "compact-replica: dictionary not "
+                                     "strictly sorted");
+        }
       }
-      prev = mapped;
-      c.key_dict[i] = replica::UnmapDouble(mapped);
     }
-    m += key_dict_count * 8;
-    c.val_dict.resize(val_dict_count);
-    for (uint64_t i = 0; i < val_dict_count; ++i) {
-      uint64_t mapped;
-      std::memcpy(&mapped, m + i * 8, 8);
-      if (i > 0 && mapped <= prev) {
-        return CorruptionAt(root_, "compact-replica: value dictionary not "
-                                   "strictly sorted");
-      }
-      prev = mapped;
-      c.val_dict[i] = replica::UnmapOrderedBits(mapped);
+    c->key_dict.resize(key_bits.size());
+    for (size_t i = 0; i < key_bits.size(); ++i) {
+      c->key_dict[i] = replica::UnmapDouble(key_bits[i]);
     }
-    // Data pages: visit + envelope-check every one (FetchMulti in chunks —
-    // the physical sweep fsck wants), and pin down per-page node counts.
-    std::vector<uint32_t> nodes_in_page(data_page_count, 0);
-    for (uint64_t i = 0; i < c.node_count; ++i) {
-      const uint64_t de = c.dir[i];
+    c->val_dict.resize(val_bits.size());
+    for (size_t i = 0; i < val_bits.size(); ++i) {
+      c->val_dict[i] = replica::UnmapOrderedBits(val_bits[i]);
+    }
+    for (const uint64_t de : c->dir) {
       if ((de >> 32) >= data_page_count) {
         return CorruptionAt(root_, "compact-replica: directory page index "
                                    "out of range");
       }
-      ++nodes_in_page[de >> 32];
-    }
-    constexpr size_t kSweepChunk = 32;
-    for (size_t base = 0; base < c.data_pages.size(); base += kSweepChunk) {
-      const size_t n = std::min(kSweepChunk, c.data_pages.size() - base);
-      std::vector<PageGuard> guards;
-      BOXAGG_RETURN_NOT_OK(
-          pool_->FetchMulti(c.data_pages.data() + base, n, &guards));
-      for (size_t k = 0; k < n; ++k) {
-        const PageId pid = c.data_pages[base + k];
-        BOXAGG_RETURN_NOT_OK(ctx->Visit(pid, "compact-replica"));
-        const Page* p = guards[k].page();
-        if (p->ReadAt<uint16_t>(0) != replica::kDataPageType) {
-          return CorruptionAt(pid, "compact-replica: bad data page type");
-        }
-        const uint32_t len = p->ReadAt<uint32_t>(replica::kDataPayloadLen);
-        if (replica::kDataHeaderBytes + len > p->size()) {
-          return CorruptionAt(pid, "compact-replica: data payload overruns "
-                                   "the page");
-        }
-        if (Crc32c(p->data() + replica::kDataHeaderBytes, len) !=
-            p->ReadAt<uint32_t>(replica::kDataCrc)) {
-          return CorruptionAt(pid, "compact-replica: data crc mismatch");
-        }
-        if (p->ReadAt<uint16_t>(replica::kDataNodeCount) !=
-            nodes_in_page[base + k]) {
-          return CorruptionAt(pid, "compact-replica: node count disagrees "
-                                   "with the directory");
-        }
-        for (uint64_t i = 0; i < c.node_count; ++i) {
-          if ((c.dir[i] >> 32) != base + k) continue;
-          const uint32_t off = static_cast<uint32_t>(c.dir[i]);
-          if (off < replica::kDataHeaderBytes ||
-              off >= replica::kDataHeaderBytes + len) {
-            return CorruptionAt(pid, "compact-replica: directory offset "
-                                     "outside the payload");
-          }
-        }
-      }
-    }
-    // Structural walk: strict re-decode from ordinal 0, each ordinal
-    // reached exactly once, subtree aggregates re-derived, entries counted.
-    if (c.node_count == 0) {
-      if (c.entry_count != 0) {
-        return CorruptionAt(root_, "compact-replica: empty replica with a "
-                                   "non-zero entry count");
-      }
-      return Status::OK();
-    }
-    std::vector<uint8_t> reached(c.node_count, 0);
-    uint64_t entries = 0;
-    std::vector<Entry> pts;
-    WalkInfo info;
-    BOXAGG_RETURN_NOT_OK(
-        CheckNodeRec(c, 0, dims_, &reached, &entries, &pts, &info));
-    for (uint64_t i = 0; i < c.node_count; ++i) {
-      if (!reached[i]) {
-        return CorruptionAt(root_, "compact-replica: ordinal " +
-                                       std::to_string(i) +
-                                       " unreachable from the root");
-      }
-    }
-    if (entries != c.entry_count) {
-      return CorruptionAt(
-          root_, "compact-replica: encoded entries (" +
-                     std::to_string(entries) + ") != source root count (" +
-                     std::to_string(c.entry_count) + ")");
-    }
-    if (ctx->check_oracle) {
-      BOXAGG_RETURN_NOT_OK(EnsureOpen());
-      BOXAGG_RETURN_NOT_OK(SelfOracle(pts));
     }
     return Status::OK();
   }
 
- private:
-  struct Cache {
-    uint64_t node_count = 0;
-    uint64_t entry_count = 0;
-    uint64_t data_bytes = 0;
-    std::vector<PageId> meta_pages;
-    std::vector<PageId> data_pages;
-    std::vector<uint64_t> dir;  // ordinal -> (page_index << 32 | offset)
-    std::vector<double> key_dict;
-    std::vector<uint64_t> val_dict;  // raw V bit patterns
+  static Status NodeCorruption(PageId pid, const char* what) {
+    return CorruptionAt(pid, std::string("compact-replica: ") + what);
+  }
+
+  // LINT:hot-path — replica node reader: no heap allocation past warm-up
+  /// Node reader for descent::PointBatch and for the audit: each Fetch
+  /// pins the node's data page and decodes the node's strips into arena
+  /// vectors; BA border sections are decoded on demand through a cursor.
+  class Reader {
+   public:
+    using Value = V;
+    using Ref = uint64_t;
+    static constexpr Ref kNull = ~uint64_t{0};
+
+    /// Decoded (point, value) entries: a BA leaf or one inline border.
+    struct Run {
+      core::ArenaVector<Point> pts;
+      core::ArenaVector<V> vals;
+      uint32_t size() const { return static_cast<uint32_t>(vals.size()); }
+      const Point& point(uint32_t k) const { return pts[k]; }
+      V value(uint32_t k) const { return vals[k]; }
+    };
+    struct Border : Run {
+      bool spilled = false;
+      Ref root = 0;
+    };
+
+    /// Bounds-checked sequential decoder over one node's bytes. Every read
+    /// is checked against the end of the node's page payload, every strip
+    /// width (<= 8) and dictionary index against the dictionaries, and
+    /// every ordinal against node_count, so no input bytes make it read out
+    /// of bounds. Reads return false on the first bad byte and record why;
+    /// Done() turns that into the node's one Status.
+    class Cursor {
+     public:
+      Cursor() = default;
+      Cursor(const Cache* c, PageId pid, const uint8_t* p, const uint8_t* end)
+          : c_(c), pid_(pid), p_(p), end_(end) {}
+
+      Status Done() const {
+        return error_ == nullptr ? Status::OK() : NodeCorruption(pid_, error_);
+      }
+      bool Byte(uint8_t* out) {
+        if (p_ >= end_) return Fail("node overruns its payload");
+        *out = *p_++;
+        return true;
+      }
+      /// An LEB128 varint of at most 10 bytes.
+      bool Varint(uint64_t* out) {
+        uint64_t v = 0;
+        for (unsigned shift = 0; shift < 64; shift += 7) {
+          uint8_t b = 0;
+          if (!Byte(&b)) return false;
+          v |= static_cast<uint64_t>(b & 0x7f) << shift;
+          if ((b & 0x80) == 0) {
+            *out = v;
+            return true;
+          }
+        }
+        return Fail("varint longer than 10 bytes");
+      }
+      /// An entry count in [min, page size]: bounds what a node can make
+      /// the decoder allocate.
+      bool Count(uint32_t min, uint32_t page_size, uint32_t* out) {
+        uint64_t n = 0;
+        if (!Varint(&n)) return false;
+        if (n < min || n > page_size) return Fail("entry count out of range");
+        *out = static_cast<uint32_t>(n);
+        return true;
+      }
+      /// The first of `span` node ordinals, all in (parent, node_count):
+      /// breadth-first order puts children and spilled roots after their
+      /// parent, so no bytes can make the descent loop.
+      bool Ordinal(uint64_t parent, uint64_t span, uint64_t* out) {
+        if (!Varint(out)) return false;
+        if (*out <= parent || *out > c_->node_count ||
+            span > c_->node_count - *out) {
+          return Fail("node ordinal out of range");
+        }
+        return true;
+      }
+      bool Strip(uint32_t m, replica::StripRef* s) {
+        if (end_ - p_ < 1 + 8) return Fail("strip header overruns");
+        if ((*p_ & replica::kStripWidthMask) > 8) {
+          return Fail("strip width out of range");
+        }
+        if (static_cast<size_t>(end_ - p_) - (1 + 8) <
+            replica::StripPayloadBytes(*p_, m)) {
+          return Fail("strip payload overruns");
+        }
+        *s = replica::ParseStrip(&p_, m);
+        return true;
+      }
+      /// Decodes a key strip of m > 0 tokens; put(i, key) stores each.
+      template <class Put>
+      bool Keys(uint32_t m, uint64_t* tok, Put put) {
+        replica::StripRef s;
+        if (!Strip(m, &s)) return false;
+        replica::DecodeStripU64(s, m, tok);
+        if ((s.header & replica::kStripDictBit) == 0) {
+          for (uint32_t i = 0; i < m; ++i) {
+            put(i, replica::UnmapDouble(tok[i]));
+          }
+          return true;
+        }
+        const double* dict = c_->key_dict.data();
+        const size_t dict_size = c_->key_dict.size();
+        for (uint32_t i = 0; i < m; ++i) {
+          if (tok[i] >= dict_size) return Fail("bad key index");
+          put(i, dict[tok[i]]);
+        }
+        return true;
+      }
+      bool Points(uint32_t m, int dims, uint64_t* tok, Point* pts) {
+        for (int d = 0; d < dims; ++d) {
+          auto put = [pts, d](uint32_t i, double x) { pts[i][d] = x; };
+          if (!Keys(m, tok, put)) return false;
+        }
+        return true;
+      }
+      bool Values(uint32_t m, uint64_t* tok, V* out) {
+        replica::StripRef s;
+        if (!Strip(m, &s)) return false;
+        replica::DecodeStripU64(s, m, tok);
+        if ((s.header & replica::kStripDictBit) == 0) {
+          for (uint32_t i = 0; i < m; ++i) {
+            const uint64_t bits = replica::UnmapOrderedBits(tok[i]);
+            std::memcpy(&out[i], &bits, sizeof(V));
+          }
+          return true;
+        }
+        const uint64_t* dict = c_->val_dict.data();
+        const size_t dict_size = c_->val_dict.size();
+        for (uint32_t i = 0; i < m; ++i) {
+          if (tok[i] >= dict_size) return Fail("bad value index");
+          std::memcpy(&out[i], &dict[tok[i]], sizeof(V));
+        }
+        return true;
+      }
+      /// One border section of a record of the `dims`-d node at ordinal
+      /// `ord`; a null `out` skips it without decoding.
+      bool BorderSection(int dims, uint64_t ord, uint32_t page_size,
+                         Border* out) {
+        uint8_t tag = 0;
+        if (!Byte(&tag)) return false;
+        if (tag == replica::kBorderEmpty) return true;
+        if (tag == replica::kBorderSpill) {
+          uint64_t root = 0;
+          if (!Ordinal(ord, 1, &root)) return false;
+          if (out != nullptr) {
+            out->spilled = true;
+            out->root = root;
+          }
+          return true;
+        }
+        if (tag != replica::kBorderInline) return Fail("bad border tag");
+        uint32_t cnt = 0;
+        if (!Count(1, page_size, &cnt)) return false;
+        if (out == nullptr) {
+          replica::StripRef s;
+          for (int d = 0; d < dims; ++d) {
+            if (!Strip(cnt, &s)) return false;
+          }
+          return true;
+        }
+        core::ArenaVector<uint64_t> tok(cnt);
+        out->pts.resize(cnt);
+        out->vals.resize(cnt);
+        return Points(cnt, dims - 1, tok.data(), out->pts.data()) &&
+               Values(cnt, tok.data(), out->vals.data());
+      }
+
+     private:
+      bool Fail(const char* what) {
+        error_ = what;
+        return false;
+      }
+
+      const Cache* c_ = nullptr;
+      PageId pid_ = kInvalidPageId;
+      const uint8_t* p_ = nullptr;
+      const uint8_t* end_ = nullptr;
+      const char* error_ = nullptr;
+    };
+
+    /// What every node view starts with: the pin and the node header.
+    class Head {
+     public:
+      bool leaf() const { return leaf_; }
+      uint32_t count() const { return n_; }
+      Ref child(uint32_t i) const { return first_child_ + i; }
+
+     private:
+      friend class Reader;
+      PageGuard guard_;
+      bool leaf_ = false;
+      uint32_t n_ = 0;
+      uint64_t first_child_ = 0;
+    };
+
+    class AggNode : public Head {
+     public:
+      const double* keys() const { return keys_.data(); }
+      V value(uint32_t i) const { return vals_[i]; }
+      V sum(uint32_t i) const { return vals_[i]; }
+
+     private:
+      friend class Reader;
+      core::ArenaVector<double> keys_;
+      core::ArenaVector<V> vals_;  // leaf values or subtree sums
+    };
+
+    class BaNode : public Head, public Run {
+     public:
+      const Box& box(uint32_t i) const { return boxes_[i]; }
+      V subtotal(uint32_t i) const { return this->vals[i]; }
+      Status SkipBorders(uint32_t) {
+        for (int b = 0; b < dims_; ++b) {
+          if (!cur_.BorderSection(dims_, ord_, page_size_, nullptr)) break;
+        }
+        return cur_.Done();
+      }
+      Status ReadBorder(uint32_t, int, Border* out) {
+        cur_.BorderSection(dims_, ord_, page_size_, out);
+        return cur_.Done();
+      }
+
+     private:
+      friend class Reader;
+      Cursor cur_;  // at the next record's border sections
+      int dims_ = 0;
+      uint32_t page_size_ = 0;
+      uint64_t ord_ = 0;
+      core::ArenaVector<Box> boxes_;  // subtotals live in Run::vals
+    };
+
+    Reader(BufferPool* pool, const Cache* c) : pool_(pool), c_(c) {}
+
+    Status Fetch(Ref ord, AggNode* node) const {
+      Cursor cur;
+      BOXAGG_RETURN_NOT_OK(Open(ord, replica::kNodeAggLeaf,
+                                replica::kNodeAggInternal, node, &cur));
+      const uint32_t n = node->n_;
+      if (n == 0) return Status::OK();  // drained leaf
+      core::ArenaVector<uint64_t> tok(n);
+      node->keys_.resize(n);
+      node->vals_.resize(n);
+      double* keys = node->keys_.data();
+      auto put = [keys](uint32_t i, double x) { keys[i] = x; };
+      if (cur.Keys(n, tok.data(), put)) {
+        cur.Values(n, tok.data(), node->vals_.data());
+      }
+      return cur.Done();
+    }
+
+    Status Fetch(Ref ord, int dims, BaNode* node) const {
+      Cursor& cur = node->cur_;
+      BOXAGG_RETURN_NOT_OK(Open(ord, replica::kNodeBaLeaf,
+                                replica::kNodeBaInternal, node, &cur));
+      const uint32_t n = node->n_;
+      node->dims_ = dims;
+      node->ord_ = ord;
+      node->page_size_ = node->guard_.page()->size();
+      if (n == 0) return Status::OK();  // drained leaf
+      core::ArenaVector<uint64_t> tok(n);
+      node->vals.resize(n);
+      bool ok = true;
+      if (node->leaf_) {
+        node->pts.resize(n);
+        ok = cur.Points(n, dims, tok.data(), node->pts.data());
+      } else {
+        node->boxes_.resize(n);
+        Box* boxes = node->boxes_.data();
+        for (int side = 0; side < 2 && ok; ++side) {
+          for (int d = 0; d < dims && ok; ++d) {
+            auto put = [boxes, side, d](uint32_t i, double x) {
+              (side == 0 ? boxes[i].lo : boxes[i].hi)[d] = x;
+            };
+            ok = cur.Keys(n, tok.data(), put);
+          }
+        }
+      }
+      if (ok) cur.Values(n, tok.data(), node->vals.data());
+      return cur.Done();
+    }
+
+    void Prefetch(Ref ord) const { pool_->PrefetchHint(PageOf(ord)); }
+    void NoteProbeFetchesSaved(uint64_t n) const {
+      pool_->NoteProbeFetchesSaved(n);
+    }
+    PageId PageOf(Ref ord) const { return c_->data_pages[c_->dir[ord] >> 32]; }
+
+   private:
+    /// Pins node `ord`'s page and reads its header: a kind that must be
+    /// `leaf_kind` or `internal_kind` (the kinds of the probe's
+    /// dimensionality), the entry count and, for an internal node (never
+    /// empty), the first child ordinal.
+    Status Open(Ref ord, uint8_t leaf_kind, uint8_t internal_kind, Head* head,
+                Cursor* cur) const {
+      const PageId pid = PageOf(ord);
+      BOXAGG_RETURN_NOT_OK(pool_->Fetch(pid, &head->guard_));
+      const Page* page = head->guard_.page();
+      const uint32_t len = page->ReadAt<uint32_t>(replica::kDataPayloadLen);
+      const uint32_t off = static_cast<uint32_t>(c_->dir[ord]);
+      if (len > page->size() - replica::kDataHeaderBytes ||
+          off < replica::kDataHeaderBytes ||
+          off - replica::kDataHeaderBytes >= len) {
+        return NodeCorruption(pid, "node offset outside the page payload");
+      }
+      *cur = Cursor(c_, pid, page->data() + off,
+                    page->data() + replica::kDataHeaderBytes + len);
+      uint8_t kind = 0;
+      if (!cur->Byte(&kind) || !cur->Count(0, page->size(), &head->n_)) {
+        return cur->Done();
+      }
+      head->leaf_ = kind == leaf_kind;
+      if (!head->leaf_ && kind != internal_kind) {
+        return NodeCorruption(pid, "node kind unknown or not of the probe's "
+                                   "dimensionality");
+      }
+      if (head->leaf_) return Status::OK();
+      if (head->n_ == 0) {
+        return NodeCorruption(pid, "internal node with no entries");
+      }
+      cur->Ordinal(ord, head->n_, &head->first_child_);
+      return cur->Done();
+    }
+
+    BufferPool* pool_;
+    const Cache* c_;
   };
-
-  /// Copies `n` u64s from *m into *out and advances *m. An empty replica
-  /// has an empty meta payload, so *m may be null when n == 0, which
-  /// memcpy does not allow even for zero bytes.
-  static void TakeU64s(const uint8_t** m, uint64_t n,
-                       std::vector<uint64_t>* out) {
-    out->resize(n);
-    if (n > 0) std::memcpy(out->data(), *m, n * 8);
-    *m += n * 8;
-  }
-
-  Status EnsureOpen() const {
-    if (cache_) return Status::OK();
-    return const_cast<CompactReplica*>(this)->Open();
-  }
-
-  // LINT:hot-path — replica descent: no heap allocation past warm-up (lint.sh)
-  Status FetchNode(const Cache& c, uint64_t ord, PageGuard* g,
-                   const uint8_t** node) const {
-    const uint64_t de = c.dir[ord];
-    BOXAGG_RETURN_NOT_OK(pool_->Fetch(c.data_pages[de >> 32], g));
-    *node = g->page()->data() + static_cast<uint32_t>(de);
-    return Status::OK();
-  }
-
-  PageId PageOf(const Cache& c, uint64_t ord) const {
-    return c.data_pages[c.dir[ord] >> 32];
-  }
-
-  /// Decodes `dims` per-dimension coordinate strips at *p into pts[0..n).
-  void DecodePointColumns(const Cache& c, const uint8_t** p, uint32_t n,
-                          int dims, uint64_t* tok, Point* pts) const {
-    for (int d = 0; d < dims; ++d) {
-      const replica::StripRef s = replica::ParseStrip(p, n);
-      replica::DecodeStripU64(s, n, tok);
-      if ((s.header & replica::kStripDictBit) != 0) {
-        for (uint32_t i = 0; i < n; ++i) pts[i][d] = c.key_dict[tok[i]];
-      } else {
-        for (uint32_t i = 0; i < n; ++i) {
-          pts[i][d] = replica::UnmapDouble(tok[i]);
-        }
-      }
-    }
-  }
-
-  /// Decodes the first `take` values of the strip at *p (stored count n).
-  void DecodeValueStrip(const Cache& c, const uint8_t** p, uint32_t n,
-                        uint32_t take, uint64_t* tok, V* out) const {
-    const replica::StripRef s = replica::ParseStrip(p, n);
-    replica::DecodeStripU64(s, take, tok);
-    if ((s.header & replica::kStripDictBit) != 0) {
-      for (uint32_t i = 0; i < take; ++i) {
-        const uint64_t bits = c.val_dict[tok[i]];
-        std::memcpy(&out[i], &bits, sizeof(V));
-      }
-    } else {
-      for (uint32_t i = 0; i < take; ++i) {
-        const uint64_t bits = replica::UnmapOrderedBits(tok[i]);
-        std::memcpy(&out[i], &bits, sizeof(V));
-      }
-    }
-  }
-
-  /// Advances *p past one record's border sections without decoding.
-  static void SkipBorderSection(const uint8_t** p, int dims) {
-    for (int b = 0; b < dims; ++b) {
-      const uint8_t tag = *(*p)++;
-      if (tag == replica::kBorderEmpty) continue;
-      if (tag == replica::kBorderInline) {
-        const uint32_t cnt =
-            static_cast<uint32_t>(replica::ReadVarint(p));
-        for (int d = 0; d < dims - 1; ++d) replica::SkipStrip(p, cnt);
-        replica::SkipStrip(p, cnt);
-      } else {
-        replica::ReadVarint(p);
-      }
-    }
-  }
-
-  /// Zeroes outs, clamps, sorts probes lexicographically (tie: original
-  /// index) and runs the batched descent — the entry discipline of both
-  /// PackedBaTree::DominanceSumBatch (lex sort over dims) and
-  /// AggBTree::DominanceSumBatch (key sort == lex sort at dims == 1), so
-  /// it serves as the top-level batch AND the spilled-border sub-batch.
-  Status SortedBatch(const Cache& c, uint64_t ord, const Point* queries,
-                     size_t count, V* outs, int dims,
-                     unsigned obs_level) const {
-    core::ArenaScope scope(core::ScratchArena());
-    core::ArenaVector<Point> qs(queries, queries + count);
-    for (auto& q : qs) {
-      for (int d = 0; d < dims; ++d) {
-        q[d] = std::min(q[d], std::numeric_limits<double>::max());
-      }
-    }
-    core::ArenaVector<uint32_t> order(count);
-    for (size_t i = 0; i < count; ++i) order[i] = static_cast<uint32_t>(i);
-    const core::ArenaVector<Point>& q_ref = qs;
-    std::sort(order.begin(), order.end(),
-              [dims, &q_ref](uint32_t a, uint32_t b) {
-                if (LexLess(q_ref[a], q_ref[b], dims)) return true;
-                if (LexLess(q_ref[b], q_ref[a], dims)) return false;
-                return a < b;
-              });
-    return BatchRec(c, ord, order.data(), count, qs.data(), outs, dims,
-                    obs_level);
-  }
-
-  /// One node of the batched descent; kind-dispatched mirror of
-  /// PackedBaTree::DominanceBatchRec and AggBTree::DominanceBatchRec.
-  Status BatchRec(const Cache& c, uint64_t ord, const uint32_t* idx,
-                  size_t m, const Point* qs, V* outs, int dims,
-                  unsigned obs_level) const {
-    struct Spill {
-      int b;
-      uint64_t ord;
-    };
-    struct Group {
-      uint64_t child;
-      core::ArenaVector<uint32_t> members;  // original probe indices
-      core::ArenaVector<Spill> spills;
-    };
-    struct Run {  // agg-internal groups: contiguous slices of idx
-      uint64_t child;
-      size_t begin;
-      size_t end;
-    };
-    core::ArenaScope scope(core::ScratchArena());
-    core::ArenaVector<Group> groups;
-    core::ArenaVector<Run> runs;
-    {
-      PageGuard g;
-      const uint8_t* p = nullptr;
-      BOXAGG_RETURN_NOT_OK(FetchNode(c, ord, &g, &p));
-      obs::NoteNodeVisit(obs_level);
-      if (m > 1) pool_->NoteProbeFetchesSaved(m - 1);
-      const uint8_t kind = *p++;
-      const uint32_t n = static_cast<uint32_t>(replica::ReadVarint(&p));
-      if (n == 0) return Status::OK();  // drained leaf: nothing follows
-      if (kind == replica::kNodeAggLeaf) {
-        core::ArenaVector<uint64_t> tok(n);
-        core::ArenaVector<double> keys(n);
-        const replica::StripRef ks = replica::ParseStrip(&p, n);
-        replica::DecodeStripU64(ks, n, tok.data());
-        if ((ks.header & replica::kStripDictBit) != 0) {
-          for (uint32_t i = 0; i < n; ++i) keys[i] = c.key_dict[tok[i]];
-        } else {
-          for (uint32_t i = 0; i < n; ++i) {
-            keys[i] = replica::UnmapDouble(tok[i]);
-          }
-        }
-        core::ArenaVector<V> vals(n);
-        DecodeValueStrip(c, &p, n, n, tok.data(), vals.data());
-        for (size_t j = 0; j < m; ++j) {
-          const uint32_t cut =
-              simd::FirstGreater(keys.data(), n, qs[idx[j]][0]);
-          V* out = &outs[idx[j]];
-          for (uint32_t i = 0; i < cut; ++i) *out += vals[i];
-        }
-        return Status::OK();
-      }
-      if (kind == replica::kNodeAggInternal) {
-        const uint64_t first_child = replica::ReadVarint(&p);
-        core::ArenaVector<uint64_t> tok(n);
-        core::ArenaVector<double> lowkeys(n);
-        const replica::StripRef ks = replica::ParseStrip(&p, n);
-        replica::DecodeStripU64(ks, n, tok.data());
-        if ((ks.header & replica::kStripDictBit) != 0) {
-          for (uint32_t i = 0; i < n; ++i) lowkeys[i] = c.key_dict[tok[i]];
-        } else {
-          for (uint32_t i = 0; i < n; ++i) {
-            lowkeys[i] = replica::UnmapDouble(tok[i]);
-          }
-        }
-        core::ArenaVector<V> sums(n);
-        DecodeValueStrip(c, &p, n, n, tok.data(), sums.data());
-        size_t j = 0;
-        while (j < m) {
-          const uint32_t route =
-              simd::FirstGreater(lowkeys.data() + 1, n - 1, qs[idx[j]][0]);
-          size_t k = j + 1;
-          while (k < m &&
-                 simd::FirstGreater(lowkeys.data() + 1, n - 1,
-                                    qs[idx[k]][0]) == route) {
-            ++k;
-          }
-          for (size_t t = j; t < k; ++t) {
-            V* out = &outs[idx[t]];
-            for (uint32_t i = 0; i < route; ++i) *out += sums[i];
-          }
-          runs.push_back(Run{first_child + route, j, k});
-          j = k;
-        }
-      } else if (kind == replica::kNodeBaLeaf) {
-        core::ArenaVector<uint64_t> tok(n);
-        core::ArenaVector<Point> pts(n);
-        DecodePointColumns(c, &p, n, dims, tok.data(), pts.data());
-        core::ArenaVector<V> vals(n);
-        DecodeValueStrip(c, &p, n, n, tok.data(), vals.data());
-        for (size_t j = 0; j < m; ++j) {
-          const Point& q = qs[idx[j]];
-          V* out = &outs[idx[j]];
-          for (uint32_t i = 0; i < n; ++i) {
-            if (simd::Dominates(q, pts[i], dims)) *out += vals[i];
-          }
-        }
-        return Status::OK();
-      } else {  // kNodeBaInternal
-        const uint64_t first_child = replica::ReadVarint(&p);
-        core::ArenaVector<uint64_t> tok(n);
-        core::ArenaVector<Box> boxes(n);
-        for (uint32_t i = 0; i < n; ++i) boxes[i] = Box{};
-        DecodeBoxColumns(c, &p, n, dims, tok.data(), boxes.data());
-        core::ArenaVector<V> subs(n);
-        DecodeValueStrip(c, &p, n, n, tok.data(), subs.data());
-        core::ArenaVector<uint8_t> taken(m, 0);
-        size_t assigned = 0;
-        for (uint32_t i = 0; i < n && assigned < m; ++i) {
-          core::ArenaVector<uint32_t> members;
-          for (size_t j = 0; j < m; ++j) {
-            if (taken[j]) continue;
-            if (simd::ContainsHalfOpen(boxes[i], qs[idx[j]], dims)) {
-              taken[j] = 1;
-              ++assigned;
-              members.push_back(idx[j]);
-            }
-          }
-          if (members.empty()) {
-            SkipBorderSection(&p, dims);
-            continue;
-          }
-          for (uint32_t probe : members) outs[probe] += subs[i];
-          core::ArenaVector<Spill> spills;
-          for (int b = 0; b < dims; ++b) {
-            const uint8_t tag = *p++;
-            if (tag == replica::kBorderEmpty) continue;
-            if (tag == replica::kBorderInline) {
-              const uint32_t cnt =
-                  static_cast<uint32_t>(replica::ReadVarint(&p));
-              core::ArenaVector<uint64_t> btok(cnt);
-              core::ArenaVector<Point> bpts(cnt);
-              DecodePointColumns(c, &p, cnt, dims - 1, btok.data(),
-                                 bpts.data());
-              core::ArenaVector<V> bvals(cnt);
-              DecodeValueStrip(c, &p, cnt, cnt, btok.data(), bvals.data());
-              for (uint32_t probe : members) {
-                Point projected = qs[probe].DropDim(b, dims);
-                for (uint32_t k = 0; k < cnt; ++k) {
-                  if (simd::Dominates(projected, bpts[k], dims - 1)) {
-                    outs[probe] += bvals[k];
-                  }
-                }
-              }
-            } else {
-              spills.push_back(Spill{b, replica::ReadVarint(&p)});
-            }
-          }
-          groups.push_back(Group{first_child + i, std::move(members),
-                                 std::move(spills)});
-        }
-        if (assigned != m) {
-          return Status::Corruption(
-              "query point not covered by any record");
-        }
-      }
-    }
-    if (!runs.empty()) {
-      for (size_t gi = 0; gi < runs.size(); ++gi) {
-        if (gi + 1 < runs.size()) {
-          pool_->PrefetchHint(PageOf(c, runs[gi + 1].child));
-        }
-        const Run& r = runs[gi];
-        BOXAGG_RETURN_NOT_OK(BatchRec(c, r.child, idx + r.begin,
-                                      r.end - r.begin, qs, outs, dims,
-                                      obs_level + 1));
-      }
-      return Status::OK();
-    }
-    // Spilled borders of this node before any descent, like the live
-    // tree; each sub-batch re-clamps and
-    // re-sorts its projected probes exactly as a fresh
-    // PackedBaTree::DominanceSumBatch over the spilled root would.
-    core::ArenaVector<Point> pts;
-    core::ArenaVector<V> parts;
-    for (const Group& gr : groups) {
-      const size_t gs = gr.members.size();
-      for (const Spill& sp : gr.spills) {
-        pts.resize(gs);
-        parts.resize(gs);
-        for (size_t t = 0; t < gs; ++t) {
-          pts[t] = qs[gr.members[t]].DropDim(sp.b, dims);
-        }
-        for (size_t t = 0; t < gs; ++t) parts[t] = V{};
-        obs::NoteBorderProbes(gs);
-        BOXAGG_RETURN_NOT_OK(SortedBatch(c, sp.ord, pts.data(), gs,
-                                         parts.data(), dims - 1,
-                                         obs_level + 1));
-        for (size_t t = 0; t < gs; ++t) outs[gr.members[t]] += parts[t];
-      }
-    }
-    for (size_t gi = 0; gi < groups.size(); ++gi) {
-      if (gi + 1 < groups.size()) {
-        pool_->PrefetchHint(PageOf(c, groups[gi + 1].child));
-      }
-      const Group& gr = groups[gi];
-      BOXAGG_RETURN_NOT_OK(BatchRec(c, gr.child, gr.members.data(),
-                                    gr.members.size(), qs, outs, dims,
-                                    obs_level + 1));
-    }
-    return Status::OK();
-  }
-
-  /// Decodes 2*dims box-corner strips (lo columns then hi columns).
-  void DecodeBoxColumns(const Cache& c, const uint8_t** p, uint32_t n,
-                        int dims, uint64_t* tok, Box* boxes) const {
-    for (int side = 0; side < 2; ++side) {
-      for (int d = 0; d < dims; ++d) {
-        const replica::StripRef s = replica::ParseStrip(p, n);
-        replica::DecodeStripU64(s, n, tok);
-        if ((s.header & replica::kStripDictBit) != 0) {
-          for (uint32_t i = 0; i < n; ++i) {
-            (side == 0 ? boxes[i].lo : boxes[i].hi)[d] = c.key_dict[tok[i]];
-          }
-        } else {
-          for (uint32_t i = 0; i < n; ++i) {
-            (side == 0 ? boxes[i].lo : boxes[i].hi)[d] =
-                replica::UnmapDouble(tok[i]);
-          }
-        }
-      }
-    }
-  }
   // LINT:hot-path-end
 
   // ---- verification (check path: free to allocate) -------------------------
@@ -783,93 +703,13 @@ class CompactReplica {
     uint32_t depth = 0;
   };
 
-  Status CheckedVarint(PageId pid, const uint8_t** p, const uint8_t* end,
-                       uint64_t* out) const {
-    if (*p >= end) {
-      return CorruptionAt(pid, "compact-replica: varint overruns the node");
-    }
-    *out = replica::ReadVarint(p);
-    if (*p > end) {
-      return CorruptionAt(pid, "compact-replica: varint overruns the node");
-    }
-    return Status::OK();
-  }
-
-  Status CheckedTokens(const Cache& c, PageId pid, const uint8_t** p,
-                       const uint8_t* end, uint32_t m, bool key_dict,
-                       std::vector<uint64_t>* tok, uint8_t* header) const {
-    if (*p + 1 + 8 > end) {
-      return CorruptionAt(pid, "compact-replica: strip header overruns");
-    }
-    const replica::StripRef s = replica::ParseStrip(p, m);
-    if ((s.header & replica::kStripWidthMask) > 8) {
-      return CorruptionAt(pid, "compact-replica: strip width out of range");
-    }
-    if (*p > end) {
-      return CorruptionAt(pid, "compact-replica: strip payload overruns");
-    }
-    tok->resize(m);
-    replica::DecodeStripU64(s, m, tok->data());
-    if ((s.header & replica::kStripDictBit) != 0) {
-      const size_t limit =
-          key_dict ? c.key_dict.size() : c.val_dict.size();
-      for (uint32_t i = 0; i < m; ++i) {
-        if ((*tok)[i] >= limit) {
-          return CorruptionAt(pid, "compact-replica: dictionary index out "
-                                   "of range");
-        }
-      }
-    }
-    *header = s.header;
-    return Status::OK();
-  }
-
-  Status CheckedKeys(const Cache& c, PageId pid, const uint8_t** p,
-                     const uint8_t* end, uint32_t m,
-                     std::vector<double>* out) const {
-    std::vector<uint64_t> tok;
-    uint8_t header = 0;
-    BOXAGG_RETURN_NOT_OK(
-        CheckedTokens(c, pid, p, end, m, /*key_dict=*/true, &tok, &header));
-    out->resize(m);
-    if ((header & replica::kStripDictBit) != 0) {
-      for (uint32_t i = 0; i < m; ++i) (*out)[i] = c.key_dict[tok[i]];
-    } else {
-      for (uint32_t i = 0; i < m; ++i) {
-        (*out)[i] = replica::UnmapDouble(tok[i]);
-      }
-    }
-    return Status::OK();
-  }
-
-  Status CheckedValues(const Cache& c, PageId pid, const uint8_t** p,
-                       const uint8_t* end, uint32_t m,
-                       std::vector<V>* out) const {
-    std::vector<uint64_t> tok;
-    uint8_t header = 0;
-    BOXAGG_RETURN_NOT_OK(
-        CheckedTokens(c, pid, p, end, m, /*key_dict=*/false, &tok, &header));
-    out->resize(m);
-    for (uint32_t i = 0; i < m; ++i) {
-      const uint64_t bits = (header & replica::kStripDictBit) != 0
-                                ? c.val_dict[tok[i]]
-                                : replica::UnmapOrderedBits(tok[i]);
-      std::memcpy(&(*out)[i], &bits, sizeof(V));
-    }
-    return Status::OK();
-  }
-
-  /// Strict re-decode of one subtree: kinds match the dimensionality, keys
-  /// sorted, aggregates re-derived, entries collected (main branch) or
-  /// counted (spilled borders), child/spill ordinals in range and reached
-  /// exactly once.
-  Status CheckNodeRec(const Cache& c, uint64_t ord, int dims,
+  /// Strict re-decode of one subtree through Reader (which checks bytes,
+  /// kinds against the dimensionality, and ordinals): keys sorted,
+  /// aggregates re-derived, entries collected (main branch) or counted
+  /// (spilled borders), every ordinal reached exactly once.
+  Status CheckNodeRec(const Reader& reader, uint64_t ord, int dims,
                       std::vector<uint8_t>* reached, uint64_t* entries,
                       std::vector<Entry>* out, WalkInfo* info) const {
-    if (ord >= c.node_count) {
-      return CorruptionAt(root_, "compact-replica: ordinal " +
-                                     std::to_string(ord) + " out of range");
-    }
     if ((*reached)[ord]) {
       return CorruptionAt(root_, "compact-replica: ordinal " +
                                      std::to_string(ord) +
@@ -877,171 +717,47 @@ class CompactReplica {
                                      "ownership)");
     }
     (*reached)[ord] = 1;
-    const PageId pid = PageOf(c, ord);
-    uint8_t kind = 0;
-    uint32_t n = 0;
-    uint64_t first_child = 0;
-    std::vector<double> keys;          // agg kinds
-    std::vector<V> vals;               // leaf values / agg sums
-    std::vector<std::vector<double>> cols;  // ba kinds, per-dim columns
-    std::vector<Box> boxes;
-    struct BorderRef {
-      int b = 0;
-      bool spill = false;
-      uint64_t ord = 0;
-      std::vector<Point> pts;  // inline entries
+    const PageId pid = reader.PageOf(ord);
+    core::ArenaScope scope(core::ScratchArena());  // the reader decodes here
+    info->total = V{};
+    if (dims == 1) {
+      std::vector<double> keys;
       std::vector<V> vals;
-    };
-    std::vector<std::vector<BorderRef>> rec_borders;
-    {
-      PageGuard g;
-      const uint8_t* p = nullptr;
-      BOXAGG_RETURN_NOT_OK(FetchNode(c, ord, &g, &p));
-      const uint8_t* end = g.page()->data() + replica::kDataHeaderBytes +
-                           g.page()->ReadAt<uint32_t>(
-                               replica::kDataPayloadLen);
-      if (p >= end) {
-        return CorruptionAt(pid, "compact-replica: node offset at or past "
-                                 "the payload end");
+      uint64_t first_child = 0;
+      bool leaf = false;
+      {
+        typename Reader::AggNode node;
+        BOXAGG_RETURN_NOT_OK(reader.Fetch(ord, &node));
+        leaf = node.leaf();
+        keys.assign(node.keys(), node.keys() + node.count());
+        for (uint32_t i = 0; i < node.count(); ++i) {
+          vals.push_back(leaf ? node.value(i) : node.sum(i));
+        }
+        if (!leaf) first_child = node.child(0);
       }
-      kind = *p++;
-      uint64_t n64 = 0;
-      BOXAGG_RETURN_NOT_OK(CheckedVarint(pid, &p, end, &n64));
-      n = static_cast<uint32_t>(n64);
-      const bool leaf_kind = kind == replica::kNodeBaLeaf ||
-                             kind == replica::kNodeAggLeaf;
-      // Leaves may be drained (n == 0, bare kind + count) after forced
-      // splits in the source tree; internal nodes never are.
-      if ((n == 0 && !leaf_kind) || n > g.page()->size()) {
-        return CorruptionAt(pid, "compact-replica: node entry count " +
-                                     std::to_string(n64) +
-                                     " out of range");
+      for (size_t i = 1; i < keys.size(); ++i) {
+        if (!(keys[i - 1] < keys[i])) {
+          return CorruptionAt(pid, "compact-replica: agg keys not strictly "
+                                   "increasing");
+        }
       }
-      const bool agg_kind = kind == replica::kNodeAggLeaf ||
-                            kind == replica::kNodeAggInternal;
-      const bool ba_kind = kind == replica::kNodeBaLeaf ||
-                           kind == replica::kNodeBaInternal;
-      if (!agg_kind && !ba_kind) {
-        return CorruptionAt(pid, "compact-replica: unknown node kind " +
-                                     std::to_string(kind));
-      }
-      if (agg_kind != (dims == 1)) {
-        return CorruptionAt(pid, "compact-replica: node kind disagrees "
-                                 "with its dimensionality");
-      }
-      if (n == 0) {
-        info->total = V{};
+      if (leaf) {
+        for (size_t i = 0; i < keys.size(); ++i) {
+          Entry e;
+          e.pt[0] = keys[i];
+          e.value = vals[i];
+          out->push_back(e);
+          info->total += vals[i];
+        }
+        *entries += keys.size();
         info->depth = 1;
         return Status::OK();
       }
-      if (kind == replica::kNodeAggLeaf) {
-        BOXAGG_RETURN_NOT_OK(CheckedKeys(c, pid, &p, end, n, &keys));
-        BOXAGG_RETURN_NOT_OK(CheckedValues(c, pid, &p, end, n, &vals));
-      } else if (kind == replica::kNodeAggInternal) {
-        BOXAGG_RETURN_NOT_OK(CheckedVarint(pid, &p, end, &first_child));
-        BOXAGG_RETURN_NOT_OK(CheckedKeys(c, pid, &p, end, n, &keys));
-        BOXAGG_RETURN_NOT_OK(CheckedValues(c, pid, &p, end, n, &vals));
-      } else if (kind == replica::kNodeBaLeaf) {
-        cols.resize(static_cast<size_t>(dims));
-        for (int d = 0; d < dims; ++d) {
-          BOXAGG_RETURN_NOT_OK(CheckedKeys(c, pid, &p, end, n, &cols[d]));
-        }
-        BOXAGG_RETURN_NOT_OK(CheckedValues(c, pid, &p, end, n, &vals));
-      } else {
-        BOXAGG_RETURN_NOT_OK(CheckedVarint(pid, &p, end, &first_child));
-        boxes.assign(n, Box{});
-        std::vector<double> col;
-        for (int side = 0; side < 2; ++side) {
-          for (int d = 0; d < dims; ++d) {
-            BOXAGG_RETURN_NOT_OK(CheckedKeys(c, pid, &p, end, n, &col));
-            for (uint32_t i = 0; i < n; ++i) {
-              (side == 0 ? boxes[i].lo : boxes[i].hi)[d] = col[i];
-            }
-          }
-        }
-        BOXAGG_RETURN_NOT_OK(CheckedValues(c, pid, &p, end, n, &vals));
-        rec_borders.resize(n);
-        for (uint32_t i = 0; i < n; ++i) {
-          for (int b = 0; b < dims; ++b) {
-            if (p >= end) {
-              return CorruptionAt(pid, "compact-replica: border section "
-                                       "overruns the node");
-            }
-            const uint8_t tag = *p++;
-            if (tag == replica::kBorderEmpty) continue;
-            BorderRef br;
-            br.b = b;
-            if (tag == replica::kBorderInline) {
-              uint64_t cnt64 = 0;
-              BOXAGG_RETURN_NOT_OK(CheckedVarint(pid, &p, end, &cnt64));
-              const uint32_t cnt = static_cast<uint32_t>(cnt64);
-              if (cnt == 0 || cnt > g.page()->size()) {
-                return CorruptionAt(pid, "compact-replica: inline border "
-                                         "count out of range");
-              }
-              br.pts.assign(cnt, Point{});
-              for (int d = 0; d < dims - 1; ++d) {
-                BOXAGG_RETURN_NOT_OK(
-                    CheckedKeys(c, pid, &p, end, cnt, &col));
-                for (uint32_t k = 0; k < cnt; ++k) br.pts[k][d] = col[k];
-              }
-              BOXAGG_RETURN_NOT_OK(
-                  CheckedValues(c, pid, &p, end, cnt, &br.vals));
-              for (uint32_t k = 1; k < cnt; ++k) {
-                if (!LexLess(br.pts[k - 1], br.pts[k], dims - 1)) {
-                  return CorruptionAt(pid, "compact-replica: inline border "
-                                           "entries not strictly sorted");
-                }
-              }
-            } else if (tag == replica::kBorderSpill) {
-              br.spill = true;
-              BOXAGG_RETURN_NOT_OK(CheckedVarint(pid, &p, end, &br.ord));
-            } else {
-              return CorruptionAt(pid, "compact-replica: unknown border "
-                                       "tag " + std::to_string(tag));
-            }
-            rec_borders[i].push_back(std::move(br));
-          }
-        }
-      }
-      if (p > end) {
-        return CorruptionAt(pid, "compact-replica: node overruns the "
-                                 "payload");
-      }
-    }
-    // Per-kind structural checks + recursion (pin dropped).
-    info->total = V{};
-    if (kind == replica::kNodeAggLeaf) {
-      for (uint32_t i = 1; i < n; ++i) {
-        if (!(keys[i - 1] < keys[i])) {
-          return CorruptionAt(pid, "compact-replica: agg leaf keys not "
-                                   "strictly increasing");
-        }
-      }
-      for (uint32_t i = 0; i < n; ++i) {
-        Entry e;
-        e.pt = Point{};
-        e.pt[0] = keys[i];
-        e.value = vals[i];
-        out->push_back(e);
-        info->total += vals[i];
-      }
-      *entries += n;
-      info->depth = 1;
-      return Status::OK();
-    }
-    if (kind == replica::kNodeAggInternal) {
-      for (uint32_t i = 1; i < n; ++i) {
-        if (!(keys[i - 1] < keys[i])) {
-          return CorruptionAt(pid, "compact-replica: agg internal lowkeys "
-                                   "not strictly increasing");
-        }
-      }
       uint32_t child_depth = 0;
-      for (uint32_t i = 0; i < n; ++i) {
+      for (size_t i = 0; i < keys.size(); ++i) {
         WalkInfo ci;
-        BOXAGG_RETURN_NOT_OK(CheckNodeRec(c, first_child + i, dims, reached,
-                                          entries, out, &ci));
+        BOXAGG_RETURN_NOT_OK(CheckNodeRec(reader, first_child + i, dims,
+                                          reached, entries, out, &ci));
         if (i == 0) {
           child_depth = ci.depth;
         } else if (ci.depth != child_depth) {
@@ -1057,48 +773,64 @@ class CompactReplica {
       info->depth = child_depth + 1;
       return Status::OK();
     }
-    if (kind == replica::kNodeBaLeaf) {
-      for (uint32_t i = 0; i < n; ++i) {
-        Entry e;
-        e.pt = Point{};
-        for (int d = 0; d < dims; ++d) e.pt[d] = cols[d][i];
-        e.value = vals[i];
-        out->push_back(e);
+    std::vector<Box> boxes;
+    uint64_t first_child = 0;
+    std::vector<std::vector<uint64_t>> spills;  // per record
+    {
+      typename Reader::BaNode node;
+      BOXAGG_RETURN_NOT_OK(reader.Fetch(ord, dims, &node));
+      if (node.leaf()) {
+        for (uint32_t i = 0; i < node.size(); ++i) {
+          out->push_back(Entry{node.point(i), node.value(i)});
+        }
+        *entries += node.size();
+        info->depth = 1;
+        return Status::OK();
       }
-      *entries += n;
-      info->depth = 1;
-      return Status::OK();
+      first_child = node.child(0);
+      spills.resize(node.count());
+      for (uint32_t i = 0; i < node.count(); ++i) {
+        boxes.push_back(node.box(i));
+        for (int b = 0; b < dims; ++b) {
+          typename Reader::Border br;
+          BOXAGG_RETURN_NOT_OK(node.ReadBorder(i, b, &br));
+          if (br.spilled) spills[i].push_back(br.root);
+          for (uint32_t k = 1; k < br.size(); ++k) {
+            if (!LexLess(br.point(k - 1), br.point(k), dims - 1)) {
+              return CorruptionAt(pid, "compact-replica: inline border "
+                                       "entries not strictly sorted");
+            }
+          }
+          *entries += br.size();
+        }
+      }
     }
-    // kNodeBaInternal: child points inside their record box, boxes tile
-    // the node scope, borders audited (inline counted above, spills
-    // recursed structurally like PackedBaTree::CheckBorderTree).
+    // Child points inside their record box, boxes tile the node scope,
+    // spilled borders audited structurally like
+    // PackedBaTree::CheckBorderTree.
     const size_t begin = out->size();
-    for (uint32_t i = 0; i < n; ++i) {
+    for (size_t i = 0; i < boxes.size(); ++i) {
       const size_t lo = out->size();
       WalkInfo ci;
-      BOXAGG_RETURN_NOT_OK(CheckNodeRec(c, first_child + i, dims, reached,
-                                        entries, out, &ci));
+      BOXAGG_RETURN_NOT_OK(CheckNodeRec(reader, first_child + i, dims,
+                                        reached, entries, out, &ci));
       for (size_t k = lo; k < out->size(); ++k) {
         if (!boxes[i].ContainsPointHalfOpen((*out)[k].pt, dims)) {
           return CorruptionAt(pid, "compact-replica: subtree point escapes "
                                    "its record box");
         }
       }
-      for (const BorderRef& br : rec_borders[i]) {
-        if (br.spill) {
-          std::vector<Entry> scratch;
-          WalkInfo bi;
-          BOXAGG_RETURN_NOT_OK(CheckNodeRec(c, br.ord, dims - 1, reached,
-                                            entries, &scratch, &bi));
-        } else {
-          *entries += br.pts.size();
-        }
+      for (const uint64_t spill : spills[i]) {
+        std::vector<Entry> scratch;
+        WalkInfo bi;
+        BOXAGG_RETURN_NOT_OK(CheckNodeRec(reader, spill, dims - 1, reached,
+                                          entries, &scratch, &bi));
       }
     }
     for (size_t k = begin; k < out->size(); ++k) {
       int owners = 0;
-      for (uint32_t i = 0; i < n; ++i) {
-        if (boxes[i].ContainsPointHalfOpen((*out)[k].pt, dims)) ++owners;
+      for (const Box& box : boxes) {
+        if (box.ContainsPointHalfOpen((*out)[k].pt, dims)) ++owners;
       }
       if (owners != 1) {
         return CorruptionAt(pid, "compact-replica: record boxes do not "
@@ -1106,29 +838,6 @@ class CompactReplica {
       }
     }
     info->depth = 0;  // mixed-depth forests: BA depth is not audited here
-    return Status::OK();
-  }
-
-  /// Sampled naive-oracle comparison over the main-branch points, the same
-  /// discipline (and tolerance) as PackedBaTree::SelfOracle.
-  Status SelfOracle(const std::vector<Entry>& pts) const {
-    const size_t step = pts.size() <= 400 ? 1 : pts.size() / 400;
-    for (size_t k = 0; k < pts.size(); k += step) {
-      for (double jitter : {0.0, 0.25}) {
-        Point q = pts[k].pt;
-        for (int d = 0; d < dims_; ++d) q[d] += jitter;
-        V got;
-        BOXAGG_RETURN_NOT_OK(DominanceSum(q, &got));
-        V want{};
-        for (const Entry& e : pts) {
-          if (q.Dominates(e.pt, dims_)) want += e.value;
-        }
-        if (AggDrift(want, got) > kAggDriftTolerance) {
-          return Status::Corruption(
-              "compact-replica: self-oracle dominance-sum mismatch");
-        }
-      }
-    }
     return Status::OK();
   }
 

@@ -123,7 +123,7 @@ inline double UnmapDouble(uint64_t u) {
 }
 
 // ---------------------------------------------------------------------------
-// LEB128 varints.
+// LEB128 varints (CompactReplica's Cursor decodes them, bounds-checked).
 
 inline void AppendVarint(std::vector<uint8_t>* out, uint64_t v) {
   while (v >= 0x80) {
@@ -133,24 +133,12 @@ inline void AppendVarint(std::vector<uint8_t>* out, uint64_t v) {
   out->push_back(static_cast<uint8_t>(v));
 }
 
-// LINT:hot-path — replica strip/varint decode: no heap allocation (lint.sh)
-inline uint64_t ReadVarint(const uint8_t** p) {
-  const uint8_t* s = *p;
-  uint64_t v = 0;
-  unsigned shift = 0;
-  for (;;) {
-    const uint8_t b = *s++;
-    v |= static_cast<uint64_t>(b & 0x7f) << shift;
-    if ((b & 0x80) == 0) break;
-    shift += 7;
-  }
-  *p = s;
-  return v;
-}
-
 // ---------------------------------------------------------------------------
 // Strip decode. A strip stores `m` u64 tokens as header byte + u64 base +
-// packed payload; empty strips (m == 0) are never emitted.
+// packed payload; empty strips (m == 0) are never emitted. These trust
+// their input: CompactReplica's Cursor bounds-checks each strip first.
+
+// LINT:hot-path — replica strip decode: no heap allocation (lint.sh)
 
 struct StripRef {
   uint8_t header = 0;
@@ -174,12 +162,6 @@ inline StripRef ParseStrip(const uint8_t** p, uint32_t m) {
   s.payload = c;
   *p = c + StripPayloadBytes(s.header, m);
   return s;
-}
-
-/// Advances *p past a strip of stored count `m` without decoding it.
-inline void SkipStrip(const uint8_t** p, uint32_t m) {
-  const uint8_t header = **p;
-  *p += 1 + sizeof(uint64_t) + StripPayloadBytes(header, m);
 }
 
 /// Decodes the first `take` tokens of a strip (take <= stored count). Both

@@ -60,8 +60,11 @@ TEST(PrefixSumCube, UpdateCostIsDominatedRegion) {
 struct CubeParam {
   uint32_t w, h, block;
   std::string Name() const {
-    return "w" + std::to_string(w) + "_h" + std::to_string(h) + "_b" +
-           std::to_string(block);
+    // Appended, not "literal" + string: gcc 12 -Wrestrict false positive.
+    std::string s = "w";
+    s += std::to_string(w) + "_h" + std::to_string(h) + "_b";
+    s += std::to_string(block);
+    return s;
   }
 };
 

@@ -192,7 +192,7 @@ MetricSample CounterSample(const char* name, uint64_t v) {
 MetricSample HistSample(const char* name, std::vector<double> bounds,
                         std::vector<uint64_t> counts, double sum) {
   MetricSample m;
-  m.name = name;
+  m.name = std::string(name);  // gcc 12 -Wrestrict false positive on = char*
   m.kind = MetricSample::Kind::kHistogram;
   m.hist.bounds = std::move(bounds);
   m.hist.counts = std::move(counts);

@@ -54,8 +54,11 @@ struct PParam {
   int n;
   uint32_t page_size;
   std::string Name() const {
-    return "d" + std::to_string(dims) + (bulk ? "_bulk" : "_inc") + "_n" +
-           std::to_string(n) + "_ps" + std::to_string(page_size);
+    // Appended, not "literal" + string: gcc 12 -Wrestrict false positive.
+    std::string s = "d";
+    s += std::to_string(dims) + (bulk ? "_bulk_n" : "_inc_n");
+    s += std::to_string(n) + "_ps" + std::to_string(page_size);
+    return s;
   }
 };
 

@@ -1,8 +1,9 @@
 // Compact read-replica tests (src/replica/): snapshot fidelity against the
 // live trees and the naive oracle across dimensions, build modes, and data
 // skew; strip codec round-trips; structural self-checks against injected
-// byte corruption (in-pool and through a real .bag file via fsck); the
-// immutability contract; and the descent's zero-heap-allocation guarantee.
+// byte corruption (in-pool and through a real .bag file via fsck); hostile
+// node bytes under a re-sealed crc; the immutability contract; and the
+// descent's zero-heap-allocation guarantee.
 // The target links tests/count_new.cc, whose counting global operator new
 // observes every allocation in the process (same idiom as arena_test.cpp).
 
@@ -23,12 +24,14 @@
 #include "core/bag_file.h"
 #include "core/box_sum_index.h"
 #include "core/naive.h"
+#include "obs/query_obs.h"
 #include "count_new.h"
 #include "replica/compact_replica.h"
 #include "replica/replica_builder.h"
 #include "replica/replica_format.h"
 #include "storage/buffer_pool.h"
 #include "storage/page_file.h"
+#include "storage/page_header.h"
 #include "temp_path.h"
 #include "workload/generators.h"
 
@@ -428,6 +431,107 @@ TEST(ReplicaTest, FsckRecognizesAndChecksReplicaRoots) {
   EXPECT_EQ(corrupt.code(), Status::Code::kCorruption) << corrupt.ToString();
   EXPECT_EQ(report.root_errors.size(), 1u);
   std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// Hostile bytes: mutate a few bytes of one data page's node stream and
+// re-seal the page's payload crc, so the replica's decoders see the bad
+// bytes instead of the crc check catching them. Queries and the audit must
+// then return a Status (OK or Corruption): no crash, hang, or out-of-bounds
+// read. The Debug + ASan/UBSan CI job runs this test.
+
+TEST(ReplicaTest, HostileNodeBytesYieldStatusNotCrash) {
+  MemPageFile file(1024);
+  BufferPool pool(&file, 4096);
+  workload::RectConfig rc;
+  rc.n = 1000;
+  rc.seed = 51;
+  const auto queries = workload::QueryBoxes(48, 0.01, 52);
+
+  // One replica per corner-transform tree; remember which pages each owns.
+  std::vector<PageId> roots;
+  std::vector<PageId> first_page;
+  {
+    BoxSumIndex<PackedBaTree<double>> live(
+        2, [&] { return PackedBaTree<double>(&pool, 2); });
+    ASSERT_TRUE(live.BulkLoad(workload::UniformRects(rc)).ok());
+    ReplicaBuilder<double> builder(&pool);
+    for (uint32_t s = 0; s < live.index_count(); ++s) {
+      first_page.push_back(static_cast<PageId>(file.page_count()));
+      PageId root = kInvalidPageId;
+      ASSERT_TRUE(builder.Build(live.index(s), &root).ok());
+      roots.push_back(root);
+    }
+    first_page.push_back(static_cast<PageId>(file.page_count()));
+    ASSERT_TRUE(live.Destroy().ok());
+  }
+  auto open_index = [&] {
+    uint32_t next = 0;
+    return BoxSumIndex<CompactReplica<double>>(
+        2, [&] { return CompactReplica<double>(&pool, 2, roots[next++]); });
+  };
+  std::vector<double> out(queries.size());
+  // The intact replicas answer, and the probes reach spilled borders.
+  obs::QueryObs query_obs;
+  obs::InstallQueryObs(&query_obs);
+  const Status intact =
+      open_index().QueryBatch(queries.data(), queries.size(), out.data());
+  obs::InstallQueryObs(nullptr);
+  ASSERT_TRUE(intact.ok()) << intact.ToString();
+  ASSERT_GT(query_obs.Snapshot().border_probes, 0u);
+
+  std::vector<PageId> data_pages;
+  for (PageId pid = first_page.front(); pid < first_page.back(); ++pid) {
+    PageGuard g;
+    ASSERT_TRUE(pool.Fetch(pid, &g).ok());
+    if (g.page()->ReadAt<uint16_t>(0) == replica::kDataPageType) {
+      data_pages.push_back(pid);
+    }
+  }
+  ASSERT_FALSE(data_pages.empty());
+
+  std::mt19937_64 rng(0x5eed);
+  int corrupt = 0;
+  for (int round = 0; round < 300; ++round) {
+    const PageId pid = data_pages[rng() % data_pages.size()];
+    std::vector<uint8_t> saved;
+    {
+      PageGuard g;
+      ASSERT_TRUE(pool.Fetch(pid, &g).ok());
+      Page* page = g.page();
+      saved.assign(page->data(), page->data() + page->size());
+      const uint32_t len = page->ReadAt<uint32_t>(replica::kDataPayloadLen);
+      const uint32_t at = static_cast<uint32_t>(rng() % len);
+      const uint32_t n = std::min<uint32_t>(1 + rng() % 8, len - at);
+      for (uint32_t i = 0; i < n; ++i) {
+        page->data()[replica::kDataHeaderBytes + at + i] =
+            static_cast<uint8_t>(rng());
+      }
+      page->WriteAt<uint32_t>(
+          replica::kDataCrc,
+          Crc32c(page->data() + replica::kDataHeaderBytes, len));
+      g.MarkDirty();
+    }
+    const Status query =
+        open_index().QueryBatch(queries.data(), queries.size(), out.data());
+    size_t owner = 0;
+    while (pid >= first_page[owner + 1]) ++owner;
+    CheckContext ctx;
+    const Status audit =
+        CompactReplica<double>(&pool, 2, roots[owner]).CheckConsistency(&ctx);
+    for (const Status& st : {query, audit}) {
+      EXPECT_TRUE(st.ok() || st.code() == Status::Code::kCorruption)
+          << "round " << round << ": " << st.ToString();
+    }
+    corrupt += audit.ok() ? 0 : 1;
+    {
+      PageGuard g;
+      ASSERT_TRUE(pool.Fetch(pid, &g).ok());
+      std::memcpy(g.page()->data(), saved.data(), saved.size());
+      g.MarkDirty();
+    }
+  }
+  EXPECT_GT(corrupt, 0);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
-// Structural-audit tests: PackedBaTree::Validate checks record-box
-// containment and tiling plus a self-oracle query sample; these tests run
-// the audit after every kind of structural stress (bulk loads, incremental
-// splits, forced-split cascades, deletions) and also prove the audit
-// actually detects corruption when a page is tampered with.
+// Structural-audit tests: PackedBaTree::CheckConsistency() checks record-box
+// containment and tiling, the packed page layout, and a self-oracle query
+// sample; these tests run the audit after every kind of structural stress
+// (bulk loads, incremental splits, forced-split cascades, deletions) and
+// also prove the audit actually detects corruption when a page is tampered
+// with.
 
 #include <gtest/gtest.h>
 
@@ -40,7 +41,7 @@ void RunAuditScenarios(uint32_t page_size, uint32_t seed) {
   {
     Tree tree(&pool, 2);
     ASSERT_TRUE(tree.BulkLoad(RandomPoints(5000, 2, seed)).ok());
-    ASSERT_TRUE(tree.Validate().ok());
+    ASSERT_TRUE(tree.CheckConsistency().ok());
     ASSERT_TRUE(tree.Destroy().ok());
   }
   // Incremental (many leaf/index splits and forced splits).
@@ -49,7 +50,7 @@ void RunAuditScenarios(uint32_t page_size, uint32_t seed) {
     for (const auto& e : RandomPoints(3000, 2, seed + 1)) {
       ASSERT_TRUE(tree.Insert(e.pt, e.value).ok());
     }
-    ASSERT_TRUE(tree.Validate().ok());
+    ASSERT_TRUE(tree.CheckConsistency().ok());
     ASSERT_TRUE(tree.Destroy().ok());
   }
   // Mixed bulk + inserts + deletions.
@@ -64,7 +65,7 @@ void RunAuditScenarios(uint32_t page_size, uint32_t seed) {
     for (size_t i = 0; i < 500; ++i) {
       ASSERT_TRUE(tree.Insert(pts[i].pt, -pts[i].value).ok());
     }
-    ASSERT_TRUE(tree.Validate().ok());
+    ASSERT_TRUE(tree.CheckConsistency().ok());
     ASSERT_TRUE(tree.Destroy().ok());
   }
   // 3-d (recursive borders are 2-d trees with their own audits implied).
@@ -73,7 +74,7 @@ void RunAuditScenarios(uint32_t page_size, uint32_t seed) {
     for (const auto& e : RandomPoints(1500, 3, seed + 3)) {
       ASSERT_TRUE(tree.Insert(e.pt, e.value).ok());
     }
-    ASSERT_TRUE(tree.Validate().ok());
+    ASSERT_TRUE(tree.CheckConsistency().ok());
     ASSERT_TRUE(tree.Destroy().ok());
   }
 }
@@ -100,7 +101,7 @@ TEST(ValidateAudit, DetectsTamperedSubtotal) {
   BufferPool pool(&file, 512);
   PackedBaTree<double> tree(&pool, 2);
   ASSERT_TRUE(tree.BulkLoad(RandomPoints(3000, 2, 5)).ok());
-  ASSERT_TRUE(tree.Validate().ok());
+  ASSERT_TRUE(tree.CheckConsistency().ok());
   // Corrupt the root page: flip bytes in the middle of the first record's
   // subtotal region.
   {
@@ -112,7 +113,7 @@ TEST(ValidateAudit, DetectsTamperedSubtotal) {
     g.page()->WriteAt<double>(off, v + 1234.5);
     g.MarkDirty();
   }
-  Status s = tree.Validate();
+  Status s = tree.CheckConsistency();
   EXPECT_FALSE(s.ok());
   EXPECT_EQ(s.code(), Status::Code::kCorruption);
 }
@@ -138,7 +139,7 @@ TEST(ValidateAudit, PackedAndPlainAgreeUnderIncrementalMutation) {
       ASSERT_NEAR(got, naive.Query(q), 1e-7) << "at step " << i;
     }
   }
-  ASSERT_TRUE(tree.Validate().ok());
+  ASSERT_TRUE(tree.CheckConsistency().ok());
 }
 
 }  // namespace
