@@ -178,10 +178,10 @@ class PackedBaTree {
   /// reads each node in place from its pinned page. The result of every
   /// probe is bit-identical whatever batch it rides in; only the traversal
   /// order across probes and the page-fetch count change.
-  Status DominanceSumBatch(const Point* queries, size_t count, V* outs,
-                           unsigned obs_level = 0) const {
+  Status DominanceSumBatch(const Point* queries, size_t count,
+                           V* outs) const {
     return descent::PointBatch(Reader(pool_, view_), root_, queries, count,
-                               dims_, outs, obs_level);
+                               dims_, outs, 0);
   }
 
   /// Collects every (point, value) in main-branch leaves, sorted.

@@ -148,36 +148,18 @@ class AggBTree {
   /// fetched and pinned at most once per batch; the result of every probe
   /// is bit-identical whatever batch it rides in. With count == 1 the
   /// descent fetches one node per level, root to leaf.
-  ///
-  /// `obs_level` offsets the per-level node-visit attribution (obs/): a
-  /// border sub-tree embedded at parent level L passes L+1 so its root
-  /// counts at the depth it actually sits in the composite structure.
-  Status DominanceSumBatch(const double* qs, size_t count, V* outs,
-                           unsigned obs_level = 0) const {
-    return descent::KeyBatch(Reader(pool_, view_), root_, qs, count, outs,
-                             obs_level);
+  Status DominanceSumBatch(const double* qs, size_t count, V* outs) const {
+    return descent::KeyBatch(Reader(pool_, view_), root_, qs, count, outs, 0);
   }
 
   /// Sum of all values in the tree.
   Status TotalSum(V* out) const {
     *out = V{};
     if (root_ == kInvalidPageId) return Status::OK();
-    PageGuard g;
-    BOXAGG_RETURN_NOT_OK(FetchNode(root_, &g));
-    const Page* p = g.page();
-    uint32_t n = Count(p);
-    if (Type(p) == kLeaf) {
-      for (uint32_t i = 0; i < n; ++i) {
-        V v;
-        ReadLeafValue(p, i, &v);
-        *out += v;
-      }
-    } else {
-      for (uint32_t i = 0; i < n; ++i) {
-        V s;
-        ReadInternalSum(p, i, &s);
-        *out += s;
-      }
+    typename Reader::AggNode node;
+    BOXAGG_RETURN_NOT_OK(Reader(pool_, view_).Fetch(root_, &node));
+    for (uint32_t i = 0; i < node.count(); ++i) {
+      *out += node.leaf() ? node.value(i) : node.sum(i);
     }
     return Status::OK();
   }
@@ -302,7 +284,8 @@ class AggBTree {
   // LINT:hot-path — descent node reader: no heap allocation (lint.sh)
   /// Node reader for the shared descent (core/dominance_descent.h): reads
   /// each node in place from its pinned page, through the pinned
-  /// generation when `view` is non-null. PackedBaTree's reader extends it.
+  /// generation when `view` is non-null. The readers of PackedBaTree and
+  /// EcdfBTree extend it.
   class Reader {
    public:
     using Value = V;
@@ -344,9 +327,10 @@ class AggBTree {
       BOXAGG_RETURN_NOT_OK(FetchPage(pid, &node->guard_));
       const Page* p = node->guard_.page();
       const uint32_t page_size = pool_->file()->page_size();
+      BOXAGG_RETURN_NOT_OK(ReadHeader(p, kLeaf, LeafCapacity(page_size),
+                                      kInternal, InternalCapacity(page_size),
+                                      &node->leaf_, &node->n_));
       node->base_ = p->data();
-      node->n_ = Count(p);
-      node->leaf_ = Type(p) == kLeaf;
       node->payload_ = node->base_ + (node->leaf_
                                           ? LeafValueOffset(page_size, 0)
                                           : InternalChildOffset(page_size, 0));
@@ -369,6 +353,24 @@ class AggBTree {
     }
 
    protected:
+    /// The u16 type and u32 count every node page starts with: Corruption
+    /// unless the type is the leaf or internal one and the count fits that
+    /// type's capacity, so no hostile count walks a reader off the page.
+    static Status ReadHeader(const Page* p, uint16_t leaf_type,
+                             uint32_t leaf_cap, uint16_t internal_type,
+                             uint32_t internal_cap, bool* leaf, uint32_t* n) {
+      const uint16_t type = Type(p);
+      *leaf = type == leaf_type;
+      *n = Count(p);
+      if (!*leaf && type != internal_type) {
+        return Status::Corruption("unexpected node page type");
+      }
+      if (*n > (*leaf ? leaf_cap : internal_cap)) {
+        return Status::Corruption("node entry count above page capacity");
+      }
+      return Status::OK();
+    }
+
     BufferPool* pool_;
     const PageVersionView* view_;
   };

@@ -577,10 +577,7 @@ size_t BagFile::live_pins() const {
   return n;
 }
 
-uint64_t BagFile::min_pinned_generation() const {
-  sync::MutexLock lock(&gen_mu_);
-  return pin_counts_.empty() ? generation_ : pin_counts_.begin()->first;
-}
+uint64_t BagFile::min_pinned_generation() const { return ReclaimFloor(); }
 
 size_t BagFile::retired_pages() const {
   sync::MutexLock lock(&retire_mu_);
@@ -618,17 +615,21 @@ void BagFile::ExportLifecycleGauges(obs::MetricsRegistry* reg) const {
 }
 
 Status BagFile::ReclaimRetired(size_t* reclaimed) {
-  // Read the pin floor first, *then* take the retire lock. Safe without
-  // holding both: generations only grow, and every retire-list entry is
-  // published after its generation, so a pin acquired between the two
-  // locks can only raise the floor, never invalidate it (see Commit).
-  bool has_pins;
-  uint64_t min_pinned = 0;
-  {
-    sync::MutexLock lock(&gen_mu_);
-    has_pins = !pin_counts_.empty();
-    if (has_pins) min_pinned = pin_counts_.begin()->first;
-  }
+  return FreeRetiredUpTo(ReclaimFloor(), reclaimed);
+}
+
+uint64_t BagFile::ReclaimFloor() const {
+  // One gen_mu_ hold reads both sides, so the floor bounds every pin that
+  // exists now or comes later: a new pin lands on the current generation
+  // or a newer one. With no pins the floor is the current generation, not
+  // "none": a reader may pin it right after this read, and the pages the
+  // next commit retires from under that pin carry retired_at above it.
+  sync::MutexLock lock(&gen_mu_);
+  if (!pin_counts_.empty()) return pin_counts_.begin()->first;
+  return current_snap_ != nullptr ? current_snap_->generation : 0;
+}
+
+Status BagFile::FreeRetiredUpTo(uint64_t floor, size_t* reclaimed) {
   obs::MetricsRegistry* reg = obs::MetricsRegistry::Global();
   const uint64_t now_us = reg != nullptr ? obs::NowMicros() : 0;
   obs::Histogram* lag_hist = nullptr;  // fetched lazily, outside retire_mu_
@@ -643,7 +644,7 @@ Status BagFile::ReclaimRetired(size_t* reclaimed) {
   Status st = Status::OK();
   while (n < retired_.size()) {
     const RetiredPage& r = retired_[n];
-    if (has_pins && r.retired_at > min_pinned) break;
+    if (r.retired_at > floor) break;
     st = physical_->Free(r.physical);
     if (!st.ok()) break;
     if (lag_hist != nullptr && r.retired_us != 0 && now_us > r.retired_us) {

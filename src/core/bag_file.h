@@ -250,9 +250,10 @@ class BagFile : public PageFile {
   /// Oldest pinned generation, or generation() when nothing is pinned.
   [[nodiscard]] uint64_t min_pinned_generation() const;
 
-  /// Frees every retired page no pin can still reach (retired_at <= min
-  /// pinned generation). Thread-safe; safe to call from a dedicated
-  /// reclaimer thread concurrently with the writer and with readers.
+  /// Frees every retired page no pin can still reach: retired_at <=
+  /// min_pinned_generation(), which is generation() when nothing is pinned
+  /// (a pin may land on it at any moment). Thread-safe; safe to call from
+  /// a dedicated reclaimer thread concurrently with the writer and readers.
   /// `reclaimed` (optional) receives the number of pages freed.
   Status ReclaimRetired(size_t* reclaimed = nullptr);
 
@@ -299,6 +300,7 @@ class BagFile : public PageFile {
 
  private:
   friend class GenerationPin;
+  friend class BagFileTestPeer;  // drives ReclaimRetired's two halves
 
   explicit BagFile(PageFile* physical)
       : PageFile(physical->page_size()), physical_(physical) {}
@@ -327,6 +329,13 @@ class BagFile : public PageFile {
   /// Drops one pin on `gen`; the last pin of a generation triggers a
   /// reclaim pass. Called by GenerationPin::Release from any thread.
   void Unpin(uint64_t gen);
+
+  /// ReclaimRetired's two halves. The floor is the oldest pinned
+  /// generation, or the current one when nothing is pinned; the free pass
+  /// frees the retired prefix with retired_at <= floor. They take their
+  /// locks one after the other, never together.
+  uint64_t ReclaimFloor() const;
+  Status FreeRetiredUpTo(uint64_t floor, size_t* reclaimed);
 
   struct RetiredPage {
     PageId physical;

@@ -21,6 +21,13 @@
 // Like all aggregate indexes here, the tree stores group sums; deleting a
 // point is inserting its inverse value.
 //
+// Queries run the shared batched descent (core/dominance_descent.h); this
+// file supplies only its node reader (EcdfBTree::Reader). descent::EcdfStep
+// routes the sorted probes on dim 0 and runs each border as a sub-batch
+// while the main-branch node is pinned: in Bu, borders 0..r-1 of a probe
+// routed to record r, in ascending record order; in Bq, the one prefix
+// border r-1.
+//
 // Page layout (dims >= 2). Internal nodes are structure-of-arrays: the
 // dim-0 routing keys sit in one contiguous strip right after the header so
 // the in-node search (simd::FirstGreater) touches nothing else; capacities
@@ -42,10 +49,8 @@
 
 #include "bptree/agg_btree.h"
 #include "check/checkable.h"
-#include "core/arena.h"
 #include "core/point_entry.h"
 #include "geom/point.h"
-#include "obs/query_obs.h"
 #include "simd/simd.h"
 #include "storage/buffer_pool.h"
 
@@ -161,43 +166,17 @@ class EcdfBTree {
     return DominanceSumBatch(&q, 1, out);
   }
 
-  // LINT:hot-path — descent: no heap allocation past warm-up (lint.sh)
   /// Batched dominance sums: outs[i] = total value of points dominated by
-  /// qs[i]. The result of every probe is bit-identical whatever batch it
-  /// rides in — each probe performs the same border and leaf additions in
-  /// the same order; only the traversal order across probes and the
-  /// page-fetch count change. Probes are sorted by the dim-0 key so the main
-  /// branch routes them monotonically: each node is fetched once per batch,
-  /// and border subtrees are themselves probed with sub-batches (recursively
-  /// down to the 1-d AggBTree base case).
-  ///
-  /// `obs_level` offsets the per-level node-visit attribution (obs/):
-  /// border sub-trees hanging off level L are probed at level L+1, so the
-  /// composite structure's depth breakdown stays consistent.
-  Status DominanceSumBatch(const Point* qs, size_t count, V* outs,
-                           unsigned obs_level = 0) const {
-    for (size_t i = 0; i < count; ++i) outs[i] = V{};
-    if (root_ == kInvalidPageId || count == 0) return Status::OK();
-    core::ArenaScope scope(core::ScratchArena());
-    if (dims_ == 1) {
-      core::ArenaVector<double> keys(count);
-      for (size_t i = 0; i < count; ++i) keys[i] = qs[i][0];
-      AggBTree<V> base(pool_, root_, view_);
-      return base.DominanceSumBatch(keys.data(), count, outs, obs_level);
-    }
-    core::ArenaVector<Point> projected(count);
-    for (size_t i = 0; i < count; ++i) projected[i] = qs[i].DropDim(0, dims_);
-    core::ArenaVector<uint32_t> order(count);
-    for (size_t i = 0; i < count; ++i) order[i] = static_cast<uint32_t>(i);
-    std::sort(order.begin(), order.end(), [qs](uint32_t a, uint32_t b) {
-      if (qs[a][0] != qs[b][0]) return qs[a][0] < qs[b][0];
-      return a < b;
-    });
-    return DominanceBatchRec(root_, order.data(), count, qs, projected.data(),
-                             outs, obs_level);
+  /// qs[i], answered by the shared descent (core/dominance_descent.h) over
+  /// Reader. The result of every probe is bit-identical whatever batch it
+  /// rides in; only the traversal order across probes and the page-fetch
+  /// count change. Each main-branch node is fetched once per batch, and
+  /// its borders are probed with sub-batches, down to the 1-d AggBTree.
+  Status DominanceSumBatch(const Point* qs, size_t count, V* outs) const {
+    return descent::PointBatch(Reader(pool_, view_, variant_), root_, qs,
+                               count, dims_, outs, 0);
   }
 
-  // LINT:hot-path-end
   /// Sum of every value in the tree.
   Status TotalSum(V* out) const {
     *out = V{};
@@ -206,22 +185,10 @@ class EcdfBTree {
       AggBTree<V> base(pool_, root_, view_);
       return base.TotalSum(out);
     }
-    PageGuard g;
-    BOXAGG_RETURN_NOT_OK(FetchNode(root_, &g));
-    const Page* p = g.page();
-    uint32_t n = Count(p);
-    if (Type(p) == kLeaf) {
-      for (uint32_t i = 0; i < n; ++i) {
-        V v;
-        ReadLeafValue(p, i, &v);
-        *out += v;
-      }
-    } else {
-      for (uint32_t i = 0; i < n; ++i) {
-        V s;
-        ReadInternalSum(p, i, &s);
-        *out += s;
-      }
+    typename Reader::EcdfNode node;
+    BOXAGG_RETURN_NOT_OK(Reader(pool_, view_, variant_).Fetch(root_, &node));
+    for (uint32_t i = 0; i < node.count(); ++i) {
+      *out += node.leaf() ? node.value(i) : node.sum(i);
     }
     return Status::OK();
   }
@@ -427,16 +394,69 @@ class EcdfBTree {
   }
   /// Routes a node read through the pinned snapshot when bound to one.
   Status FetchNode(PageId pid, PageGuard* g) const {
-    return view_ != nullptr ? pool_->FetchSnapshot(*view_, pid, g)
-                            : pool_->Fetch(pid, g);
+    return Reader(pool_, view_, variant_).FetchPage(pid, g);
   }
-  void PrefetchNode(PageId pid) const {
-    if (view_ != nullptr) {
-      pool_->PrefetchSnapshotHint(*view_, pid);
-    } else {
-      pool_->PrefetchHint(pid);
+
+  // LINT:hot-path — descent node reader: no heap allocation (lint.sh)
+  /// Node reader for descent::PointBatch: the AggBTree reader for the 1-d
+  /// base case, plus main-branch nodes read in place from the pinned page
+  /// (through the pinned generation when the tree is snapshot-bound).
+  class Reader : public AggBTree<V>::Reader {
+   public:
+    using AggBTree<V>::Reader::Fetch;
+
+    /// A pinned leaf ({Point, V} entries) or internal node.
+    class EcdfNode {
+     public:
+      bool leaf() const { return leaf_; }
+      uint32_t count() const { return n_; }
+      Point point(uint32_t k) const { return Load<Point>(LeafOff(k)); }
+      V value(uint32_t k) const { return Load<V>(LeafOff(k) + sizeof(Point)); }
+      const double* keys() const {
+        return reinterpret_cast<const double*>(base_ + kHeaderSize);
+      }
+      PageId child(uint32_t i) const { return Load<PageId>(Rec(i)); }
+      PageId border(uint32_t i) const { return Load<PageId>(Rec(i) + 8); }
+      V sum(uint32_t i) const { return Load<V>(Rec(i) + 16); }
+
+     private:
+      friend class Reader;
+      size_t Rec(uint32_t i) const { return recs_ + size_t{i} * kInternalRec; }
+      template <class T>
+      T Load(size_t off) const {
+        T t;
+        std::memcpy(&t, base_ + off, sizeof(T));
+        return t;
+      }
+      PageGuard guard_;
+      const uint8_t* base_ = nullptr;
+      size_t recs_ = 0;  // offset of the {child, border, sum} strip
+      uint32_t n_ = 0;
+      bool leaf_ = false;
+    };
+
+    Reader(BufferPool* pool, const PageVersionView* view, EcdfVariant variant)
+        : AggBTree<V>::Reader(pool, view),
+          prefix_borders_(variant == EcdfVariant::kQueryOptimized) {}
+
+    Status Fetch(PageId pid, EcdfNode* node) const {
+      BOXAGG_RETURN_NOT_OK(this->FetchPage(pid, &node->guard_));
+      const Page* p = node->guard_.page();
+      const uint32_t page_size = this->pool_->file()->page_size();
+      BOXAGG_RETURN_NOT_OK(this->ReadHeader(
+          p, kLeaf, LeafCapacity(page_size), kInternal,
+          InternalCapacity(page_size), &node->leaf_, &node->n_));
+      node->base_ = p->data();
+      node->recs_ = InternalChildOffset(page_size, 0);
+      return Status::OK();
     }
-  }
+    /// Bq: border i holds the prefix e_0..e_i, not subtree(e_i).
+    bool prefix_borders() const { return prefix_borders_; }
+
+   private:
+    bool prefix_borders_;
+  };
+  // LINT:hot-path-end
 
   // ---- page accessors -----------------------------------------------------
 
@@ -941,150 +961,41 @@ class EcdfBTree {
 
   // ---- traversal ----------------------------------------------------------
 
-  // LINT:hot-path — descent: no heap allocation past warm-up (lint.sh)
-  /// One main-branch node of the batched descent: `idx[0..m)` are probe
-  /// indices sorted by dim-0 key whose paths all pass through `pid`.
-  /// Each probe adds its borders in ascending record order (Bu) or as the
-  /// single prefix border (Bq) before the descent's contributions. Border
-  /// probes happen while the node is pinned; the pin is dropped before
-  /// descending.
-  Status DominanceBatchRec(PageId pid, const uint32_t* idx, size_t m,
-                           const Point* qs, const Point* projected, V* outs,
-                           unsigned obs_level = 0) const {
-    struct Group {
-      uint32_t route;
-      PageId child;
-      size_t begin;
-      size_t end;
-    };
-    core::ArenaScope scope(core::ScratchArena());
-    core::ArenaVector<Group> groups;
-    {
-      PageGuard g;
-      BOXAGG_RETURN_NOT_OK(FetchNode(pid, &g));
-      obs::NoteNodeVisit(obs_level);
-      if (m > 1) pool_->NoteProbeFetchesSaved(m - 1);
-      const Page* p = g.page();
-      uint32_t n = Count(p);
-      if (Type(p) == kLeaf) {
-        for (size_t j = 0; j < m; ++j) {
-          const Point& q = qs[idx[j]];
-          V* out = &outs[idx[j]];
-          for (uint32_t i = 0; i < n; ++i) {
-            Point pt = LeafPoint(p, i);
-            if (pt[0] > q[0]) break;
-            if (simd::Dominates(q, pt, dims_)) {
-              V v;
-              ReadLeafValue(p, i, &v);
-              *out += v;
-            }
-          }
-        }
-        return Status::OK();
-      }
-      // Sorted probes route monotonically, so per-child groups are
-      // contiguous runs of idx with strictly increasing routes.
-      size_t j = 0;
-      while (j < m) {
-        const uint32_t route = RouteInternal(p, n, qs[idx[j]][0]);
-        size_t k = j + 1;
-        while (k < m && RouteInternal(p, n, qs[idx[k]][0]) == route) ++k;
-        groups.push_back(Group{route, InternalChild(p, route), j, k});
-        j = k;
-      }
-      if (variant_ == EcdfVariant::kUpdateOptimized) {
-        // Border i is needed by every probe routed right of record i — a
-        // contiguous suffix of the sorted batch. Probing borders in
-        // ascending i gives each probe its border additions in record
-        // order, whatever batch it rides in.
-        size_t gi = 0;  // first group with route > i
-        core::ArenaVector<Point> pts;
-        core::ArenaVector<V> parts;
-        for (uint32_t i = 0; i < groups.back().route; ++i) {
-          while (groups[gi].route <= i) ++gi;
-          const size_t s = groups[gi].begin;
-          const size_t gs = m - s;
-          pts.resize(gs);
-          parts.resize(gs);
-          for (size_t t = 0; t < gs; ++t) pts[t] = projected[idx[s + t]];
-          obs::NoteBorderProbes(gs);
-          EcdfBTree sub(pool_, dims_ - 1, variant_, InternalBorder(p, i), view_);
-          BOXAGG_RETURN_NOT_OK(
-              sub.DominanceSumBatch(pts.data(), gs, parts.data(),
-                                    obs_level + 1));
-          for (size_t t = 0; t < gs; ++t) outs[idx[s + t]] += parts[t];
-        }
-      } else {
-        // Bq: each route group reads exactly one prefix border.
-        core::ArenaVector<Point> pts;
-        core::ArenaVector<V> parts;
-        for (const Group& gr : groups) {
-          if (gr.route == 0) continue;
-          const size_t gs = gr.end - gr.begin;
-          pts.resize(gs);
-          parts.resize(gs);
-          for (size_t t = 0; t < gs; ++t) {
-            pts[t] = projected[idx[gr.begin + t]];
-          }
-          obs::NoteBorderProbes(gs);
-          EcdfBTree sub(pool_, dims_ - 1, variant_,
-                        InternalBorder(p, gr.route - 1), view_);
-          BOXAGG_RETURN_NOT_OK(
-              sub.DominanceSumBatch(pts.data(), gs, parts.data(),
-                                    obs_level + 1));
-          for (size_t t = 0; t < gs; ++t) {
-            outs[idx[gr.begin + t]] += parts[t];
-          }
-        }
-      }
-    }
-    for (size_t gi = 0; gi < groups.size(); ++gi) {
-      // Warm the next group's child while the current one is processed.
-      if (gi + 1 < groups.size()) PrefetchNode(groups[gi + 1].child);
-      const Group& gr = groups[gi];
-      BOXAGG_RETURN_NOT_OK(DominanceBatchRec(gr.child, idx + gr.begin,
-                                             gr.end - gr.begin, qs, projected,
-                                             outs, obs_level + 1));
-    }
-    return Status::OK();
-  }
-
-  // LINT:hot-path-end
   Status ScanRec(PageId pid, std::vector<Entry>* out) const {
-    PageGuard g;
-    BOXAGG_RETURN_NOT_OK(FetchNode(pid, &g));
-    const Page* p = g.page();
-    uint32_t n = Count(p);
-    if (Type(p) == kLeaf) {
-      for (uint32_t i = 0; i < n; ++i) {
-        Entry e;
-        e.pt = LeafPoint(p, i);
-        ReadLeafValue(p, i, &e.value);
-        out->push_back(e);
+    std::vector<PageId> children;
+    {
+      typename Reader::EcdfNode node;
+      BOXAGG_RETURN_NOT_OK(Reader(pool_, view_, variant_).Fetch(pid, &node));
+      for (uint32_t i = 0; i < node.count(); ++i) {
+        if (node.leaf()) {
+          out->push_back(Entry{node.point(i), node.value(i)});
+        } else {
+          children.push_back(node.child(i));
+        }
       }
-      return Status::OK();
     }
-    std::vector<PageId> children(n);
-    for (uint32_t i = 0; i < n; ++i) children[i] = InternalChild(p, i);
-    g.Release();
     for (PageId c : children) {
       BOXAGG_RETURN_NOT_OK(ScanRec(c, out));
     }
     return Status::OK();
   }
 
-  Status PageCountRec(PageId pid, uint64_t* out) const {
-    PageGuard g;
-    BOXAGG_RETURN_NOT_OK(FetchNode(pid, &g));
-    const Page* p = g.page();
-    *out += 1;
-    if (Type(p) != kInternal) return Status::OK();
-    uint32_t n = Count(p);
-    std::vector<std::pair<PageId, PageId>> kids(n);
-    for (uint32_t i = 0; i < n; ++i) {
-      kids[i] = {InternalChild(p, i), InternalBorder(p, i)};
+  /// The {child, border root} of each record of node `pid` (none for a
+  /// leaf). The node's pin drops on return.
+  Status Records(PageId pid,
+                 std::vector<std::pair<PageId, PageId>>* kids) const {
+    typename Reader::EcdfNode node;
+    BOXAGG_RETURN_NOT_OK(Reader(pool_, view_, variant_).Fetch(pid, &node));
+    for (uint32_t i = 0; !node.leaf() && i < node.count(); ++i) {
+      kids->push_back({node.child(i), node.border(i)});
     }
-    g.Release();
+    return Status::OK();
+  }
+
+  Status PageCountRec(PageId pid, uint64_t* out) const {
+    std::vector<std::pair<PageId, PageId>> kids;
+    BOXAGG_RETURN_NOT_OK(Records(pid, &kids));
+    *out += 1;
     for (auto [child, border] : kids) {
       BOXAGG_RETURN_NOT_OK(PageCountRec(child, out));
       if (border != kInvalidPageId) {
@@ -1099,18 +1010,7 @@ class EcdfBTree {
 
   Status DestroyRec(PageId pid) {
     std::vector<std::pair<PageId, PageId>> kids;
-    {
-      PageGuard g;
-      BOXAGG_RETURN_NOT_OK(FetchNode(pid, &g));
-      const Page* p = g.page();
-      if (Type(p) == kInternal) {
-        uint32_t n = Count(p);
-        kids.reserve(n);
-        for (uint32_t i = 0; i < n; ++i) {
-          kids.push_back({InternalChild(p, i), InternalBorder(p, i)});
-        }
-      }
-    }
+    BOXAGG_RETURN_NOT_OK(Records(pid, &kids));
     for (auto [child, border] : kids) {
       BOXAGG_RETURN_NOT_OK(DestroyRec(child));
       if (border != kInvalidPageId) {

@@ -96,13 +96,13 @@ class CompactReplica {
 
   /// Batched dominance sums through the shared descent; byte-identical to
   /// the source tree's, batch for batch.
-  Status DominanceSumBatch(const Point* queries, size_t count, V* outs,
-                           unsigned obs_level = 0) const {
+  Status DominanceSumBatch(const Point* queries, size_t count,
+                           V* outs) const {
     BOXAGG_RETURN_NOT_OK(EnsureOpen());
     const Reader reader(pool_, cache_.get());
     return descent::PointBatch(
         reader, cache_->node_count == 0 ? Reader::kNull : 0, queries, count,
-        dims_, outs, obs_level);
+        dims_, outs, 0);
   }
 
   /// Header + meta chain + data pages.

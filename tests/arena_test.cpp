@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <new>
 #include <random>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "batree/packed_ba_tree.h"
 #include "core/arena.h"
 #include "core/box_sum_index.h"
+#include "ecdf/ecdf_btree.h"
 #include "count_new.h"
 #include "storage/buffer_pool.h"
 
@@ -84,14 +86,16 @@ TEST(ArenaTest, ArenaVectorUsesThreadLocalArena) {
   EXPECT_EQ(w.back(), 999);
 }
 
-// The tentpole property: after warm-up, QueryBatch on a real index performs
-// zero heap allocations — corners, sort order, probe groups, batch descents
-// and border sub-batches all live in the thread-local arena.
-TEST(ArenaTest, WarmQueryBatchMakesZeroHeapAllocations) {
+// The property the arena exists for: after warm-up, QueryBatch on a real
+// index performs zero heap allocations — corners, sort order, probe groups,
+// batch descents and border sub-batches all live in the thread-local arena.
+// Runs on each tree the shared descent serves with a main-branch step.
+template <class Index>
+void ExpectWarmQueryBatchAllocatesNothing(
+    std::function<Index(BufferPool*)> make) {
   MemPageFile file(1024);
   BufferPool pool(&file, 4096);
-  BoxSumIndex<PackedBaTree<double>> index(
-      2, [&] { return PackedBaTree<double>(&pool, 2); });
+  BoxSumIndex<Index> index(2, [&] { return make(&pool); });
   std::mt19937 rng(7);
   std::uniform_real_distribution<double> uc(0, 100), uw(0, 6), uv(0.1, 5);
   std::vector<BoxObject> objects;
@@ -131,6 +135,20 @@ TEST(ArenaTest, WarmQueryBatchMakesZeroHeapAllocations) {
   ASSERT_TRUE(all_ok);
   EXPECT_EQ(after - before, 0u) << "heap allocations on warm QueryBatch";
   EXPECT_EQ(out, expected);  // and the answers did not drift
+}
+
+TEST(ArenaTest, WarmQueryBatchMakesZeroHeapAllocations) {
+  {
+    SCOPED_TRACE("PackedBaTree");
+    ExpectWarmQueryBatchAllocatesNothing<PackedBaTree<double>>(
+        [](BufferPool* pool) { return PackedBaTree<double>(pool, 2); });
+  }
+  for (EcdfVariant v :
+       {EcdfVariant::kUpdateOptimized, EcdfVariant::kQueryOptimized}) {
+    SCOPED_TRACE(v == EcdfVariant::kUpdateOptimized ? "ECDF-Bu" : "ECDF-Bq");
+    ExpectWarmQueryBatchAllocatesNothing<EcdfBTree<double>>(
+        [v](BufferPool* pool) { return EcdfBTree<double>(pool, 2, v); });
+  }
 }
 
 }  // namespace

@@ -275,7 +275,9 @@ TEST(BatchOracle, IntegerValuedSumsAreExactOnEveryBackend) {
 // batch=1 I/O is pinned to the counts the per-probe path produced before it
 // became a one-probe batch: cumulative logical reads, buffer hits AND
 // physical reads (LRU eviction order included — the pool is sized small
-// enough to evict). Answers of n batches of one match one batch of n.
+// enough to evict). The batch-of-all pass that follows on the same pool is
+// pinned too, so a change to a step's pin windows or fetch order shows
+// here. Answers of n batches of one match one batch of n.
 struct IoGolden {
   uint64_t logical_reads;
   uint64_t buffer_hits;
@@ -283,7 +285,8 @@ struct IoGolden {
 };
 
 template <class Index, class Factory>
-void CheckBatchOneIoFidelity(Factory factory, const IoGolden& golden) {
+void CheckBatchOneIoFidelity(Factory factory, const IoGolden& golden,
+                             const IoGolden& all_golden) {
   MemPageFile file(1024);
   BufferPool pool(&file, 32);  // tight: eviction order differences would show
   auto objs = World2d(2500, 77);
@@ -300,14 +303,19 @@ void CheckBatchOneIoFidelity(Factory factory, const IoGolden& golden) {
   }
   IoStats batch_io = pool.stats().Since(b0);
 
+  const IoStats b1 = pool.stats();
   std::vector<double> all;
   ASSERT_TRUE(index.QueryBatch(queries, &all).ok());
+  const IoStats all_io = pool.stats().Since(b1);
   EXPECT_EQ(
       std::memcmp(one.data(), all.data(), all.size() * sizeof(double)), 0);
   EXPECT_EQ(batch_io.logical_reads, golden.logical_reads);
   EXPECT_EQ(batch_io.buffer_hits, golden.buffer_hits);
   EXPECT_EQ(batch_io.physical_reads, golden.physical_reads);
   EXPECT_EQ(batch_io.probe_fetches_saved, 0u);  // no grouping at batch=1
+  EXPECT_EQ(all_io.logical_reads, all_golden.logical_reads);
+  EXPECT_EQ(all_io.buffer_hits, all_golden.buffer_hits);
+  EXPECT_EQ(all_io.physical_reads, all_golden.physical_reads);
 }
 
 TEST(BatchIoFidelity, EcdfBuBatchOneMatchesSeed) {
@@ -315,7 +323,7 @@ TEST(BatchIoFidelity, EcdfBuBatchOneMatchesSeed) {
       [](BufferPool* pool, int d) {
         return EcdfBTree<double>(pool, d, EcdfVariant::kUpdateOptimized);
       },
-      IoGolden{3176, 0, 3176});
+      IoGolden{3176, 0, 3176}, IoGolden{548, 0, 548});
 }
 
 TEST(BatchIoFidelity, EcdfBqBatchOneMatchesSeed) {
@@ -323,13 +331,13 @@ TEST(BatchIoFidelity, EcdfBqBatchOneMatchesSeed) {
       [](BufferPool* pool, int d) {
         return EcdfBTree<double>(pool, d, EcdfVariant::kQueryOptimized);
       },
-      IoGolden{1012, 403, 609});
+      IoGolden{1012, 403, 609}, IoGolden{409, 3, 406});
 }
 
 TEST(BatchIoFidelity, PackedBaTreeBatchOneMatchesSeed) {
   CheckBatchOneIoFidelity<PackedBaTree<double>>(
       [](BufferPool* pool, int d) { return PackedBaTree<double>(pool, d); },
-      IoGolden{1811, 32, 1779});
+      IoGolden{1811, 32, 1779}, IoGolden{659, 0, 659});
 }
 
 TEST(BatchDedup, RepeatedQueriesAnswerEachDistinctProbeOnce) {

@@ -6,12 +6,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <random>
+#include <vector>
 
+#include "core/box_sum_index.h"
 #include "core/naive.h"
 #include "ecdf/ecdf_btree.h"
 #include "ecdf/static_ecdf_tree.h"
 #include "storage/buffer_pool.h"
+#include "workload/generators.h"
 
 namespace boxagg {
 namespace {
@@ -293,6 +298,123 @@ TEST(EcdfBTree, HandleSurvivesReconstruction) {
   double got;
   ASSERT_TRUE(tree2.DominanceSum(Point(50, 50), &got).ok());
   EXPECT_NEAR(got, naive.Query(Point(50, 50)), 1e-6);
+}
+
+// Records the id of every page read from the file, in order.
+class ReadLogFile : public MemPageFile {
+ public:
+  using MemPageFile::MemPageFile;
+  Status ReadPageEx(PageId id, Page* page, uint64_t* epoch_out) override {
+    log.push_back(id);
+    return MemPageFile::ReadPageEx(id, page, epoch_out);
+  }
+  std::vector<PageId> log;
+};
+
+// Fetch order and pin window, pinned to goldens recorded with the
+// ECDF-B-trees' own descent, before they ran the shared template. Through
+// the smallest pool (8 frames) most fetches are page reads, so the read log
+// follows the fetch order, and which pages are pinned decides which ones
+// get evicted.
+TEST(EcdfBTree, FetchOrderAndPinWindowMatchSeed) {
+  struct Golden {
+    EcdfVariant variant;
+    size_t reads;
+    uint64_t fnv;  // FNV-1a of the read log
+  };
+  const auto pts = RandomPoints(2000, 2, 71);
+  const auto qs = RandomQueries(40, 2, 72);
+  for (const Golden& golden :
+       {Golden{EcdfVariant::kUpdateOptimized, 766, 3574374125858747028u},
+        Golden{EcdfVariant::kQueryOptimized, 276, 4586014157847941603u}}) {
+    SCOPED_TRACE(golden.variant == EcdfVariant::kUpdateOptimized ? "Bu"
+                                                                 : "Bq");
+    ReadLogFile file(1024);
+    PageId root = kInvalidPageId;
+    {
+      BufferPool build(&file, 4096);
+      EcdfBTree<double> tree(&build, 2, golden.variant);
+      ASSERT_TRUE(tree.BulkLoad(pts).ok());
+      ASSERT_TRUE(build.FlushAll().ok());
+      root = tree.root();
+    }
+    file.log.clear();
+    {
+      BufferPool pool(&file, 8);
+      EcdfBTree<double> tree(&pool, 2, golden.variant, root);
+      std::vector<double> one(qs.size()), all(qs.size());
+      for (size_t i = 0; i < qs.size(); ++i) {
+        ASSERT_TRUE(tree.DominanceSumBatch(&qs[i], 1, &one[i]).ok());
+      }
+      ASSERT_TRUE(tree.DominanceSumBatch(qs.data(), qs.size(), all.data())
+                      .ok());
+      EXPECT_EQ(one, all);
+    }
+    uint64_t fnv = 1469598103934665603ull;
+    for (PageId id : file.log) fnv = (fnv ^ id) * 1099511628211ull;
+    EXPECT_EQ(file.log.size(), golden.reads);
+    EXPECT_EQ(fnv, golden.fnv);
+  }
+}
+
+// Hostile bytes: overwrite a few bytes of one page through the pool (so no
+// crc is involved), run a fixed query batch, restore the page. Every batch
+// must return a Status — no crash, hang or out-of-bounds read, whatever the
+// bytes say about node types, counts, child or border ids. The Debug +
+// ASan CI job runs this test.
+TEST(EcdfBTree, HostileNodeBytesYieldStatusNotCrash) {
+  workload::RectConfig rc;
+  rc.n = 1000;
+  rc.seed = 61;
+  const auto objects = workload::UniformRects(rc);
+  const auto queries = workload::QueryBoxes(48, 0.01, 62);
+  for (EcdfVariant v :
+       {EcdfVariant::kUpdateOptimized, EcdfVariant::kQueryOptimized}) {
+    SCOPED_TRACE(v == EcdfVariant::kUpdateOptimized ? "Bu" : "Bq");
+    MemPageFile file(1024);
+    BufferPool pool(&file, 4096);
+    BoxSumIndex<EcdfBTree<double>> index(
+        2, [&] { return EcdfBTree<double>(&pool, 2, v); });
+    ASSERT_TRUE(index.BulkLoad(objects).ok());
+    std::vector<double> out(queries.size());
+    ASSERT_TRUE(
+        index.QueryBatch(queries.data(), queries.size(), out.data()).ok());
+    const uint64_t pages = file.page_count();
+
+    std::mt19937_64 rng(0x5eed);
+    int failed = 0;
+    for (int round = 0; round < 300; ++round) {
+      const PageId pid = rng() % pages;
+      std::vector<uint8_t> saved;
+      {
+        PageGuard g;
+        ASSERT_TRUE(pool.Fetch(pid, &g).ok());
+        Page* page = g.page();
+        saved.assign(page->data(), page->data() + page->size());
+        const uint32_t at = static_cast<uint32_t>(rng() % page->size());
+        const uint32_t n =
+            std::min<uint32_t>(1 + rng() % 8, page->size() - at);
+        for (uint32_t i = 0; i < n; ++i) {
+          page->data()[at + i] = static_cast<uint8_t>(rng());
+        }
+        g.MarkDirty();
+      }
+      const Status st =
+          index.QueryBatch(queries.data(), queries.size(), out.data());
+      // Bad bytes the reader rejects, or an id past the end of the file.
+      EXPECT_TRUE(st.ok() || st.code() == Status::Code::kCorruption ||
+                  st.code() == Status::Code::kNotFound)
+          << "round " << round << ": " << st.ToString();
+      failed += st.ok() ? 0 : 1;
+      {
+        PageGuard g;
+        ASSERT_TRUE(pool.Fetch(pid, &g).ok());
+        std::memcpy(g.page()->data(), saved.data(), saved.size());
+        g.MarkDirty();
+      }
+    }
+    EXPECT_GT(failed, 0);  // the mutations do reach the checks
+  }
 }
 
 }  // namespace

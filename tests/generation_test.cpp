@@ -29,6 +29,20 @@
 #include "storage/page_file.h"
 
 namespace boxagg {
+
+// Runs ReclaimRetired's two halves (floor read, free pass) separately, so a
+// test can put a pin and a commit between them.
+class BagFileTestPeer {
+ public:
+  static uint64_t ReclaimFloor(const BagFile& bag) {
+    return bag.ReclaimFloor();
+  }
+  static Status FreeRetiredUpTo(BagFile* bag, uint64_t floor,
+                                size_t* reclaimed) {
+    return bag->FreeRetiredUpTo(floor, reclaimed);
+  }
+};
+
 namespace {
 
 constexpr uint32_t kPageSize = 512;
@@ -120,6 +134,50 @@ TEST(Generation, CommitWithoutPinsReclaimsImmediately) {
     // pre-MVCC ping-pong protocol).
     EXPECT_EQ(bag->retired_pages(), 0u) << "round " << round;
   }
+}
+
+// ReclaimRetired reads its floor under the generation lock and frees under
+// the retire lock. Replay, in order, a reclaimer that reads the floor with
+// nothing pinned, a reader that then pins generation g, and a writer that
+// commits g+1: the reclaimer's free pass must not free g's superseded
+// pages while that pin is live.
+TEST(Generation, ReclaimFloorHoldsForAPinTakenAfterTheFloorRead) {
+  MemPageFile phys(kPageSize);
+  std::unique_ptr<BagFile> bag;
+  ASSERT_TRUE(BagFile::Create(&phys, 1, 1, &bag).ok());
+  PageId a = kInvalidPageId;
+  ASSERT_TRUE(bag->Allocate(&a).ok());
+  ASSERT_TRUE(bag->WritePage(a, TaggedPage(1000)).ok());
+  ASSERT_TRUE(bag->Commit({a}).ok());
+  ASSERT_EQ(bag->live_pins(), 0u);
+
+  // 1. The reclaimer reads its floor: nothing is pinned.
+  const uint64_t floor = BagFileTestPeer::ReclaimFloor(*bag);
+  EXPECT_EQ(floor, bag->generation());
+  // 2. A reader pins generation g.
+  GenerationPin pin;
+  ASSERT_TRUE(bag->PinCurrent(&pin).ok());
+  const uint64_t g = pin.generation();
+  // 3. The writer commits g+1, retiring g's image of `a` and its map chain.
+  ASSERT_TRUE(bag->WritePage(a, TaggedPage(7000)).ok());
+  ASSERT_TRUE(bag->Commit({a}).ok());
+  ASSERT_EQ(bag->generation(), g + 1);
+  const size_t retired = bag->retired_pages();
+  ASSERT_GT(retired, 0u);
+  // 4. The reclaimer's free pass runs with the floor from step 1.
+  size_t freed = 99;
+  ASSERT_TRUE(BagFileTestPeer::FreeRetiredUpTo(bag.get(), floor, &freed).ok());
+  // 5. g's superseded pages are still retired, and the pin still reads g.
+  EXPECT_EQ(freed, 0u);
+  EXPECT_EQ(bag->retired_pages(), retired);
+  {
+    BufferPool pool(bag.get(), 16);
+    PageGuard guard;
+    ASSERT_TRUE(pool.FetchSnapshot(pin, a, &guard).ok());
+    EXPECT_EQ(guard.page()->ReadAt<uint64_t>(0), 1000u);
+  }
+  pin.Release();
+  EXPECT_EQ(bag->retired_pages(), 0u);
 }
 
 // A pin holds a pointer into the BagFile; outliving it is a use-after-free
