@@ -52,6 +52,10 @@
 // which reads records, inline border blocks and leaves in place from the
 // pinned page. CompactReplica runs the same descent over its compressed
 // copy of this tree, which is why the two answer byte-identically.
+// The reader is this page format's one decoder, and it checks the bytes it
+// reads: the scans, the audit and ReplicaBuilder read nodes through it too,
+// so hostile bytes yield a Corruption status, never an out-of-bounds read.
+// Only Insert and BulkLoad, which rewrite pages, address bytes directly.
 //
 // Page layout (dims >= 2):
 //   leaf (type 5): u16 type, u16 pad, u32 count; entries {Point, V}
@@ -103,8 +107,15 @@ class PackedBaTree {
   [[nodiscard]] bool empty() const { return root_ == kInvalidPageId; }
   [[nodiscard]] int dims() const { return dims_; }
 
+  /// Node reader of the shared descent and of every read-only walk;
+  /// defined after the class.
+  class Reader;
+
   uint32_t LeafCapacity() const {
     return (pool_->file()->page_size() - kLeafHeader) / kLeafEntrySize;
+  }
+  uint32_t InternalCapacity() const {
+    return (pool_->file()->page_size() - kIntHeader) / RecordSize();
   }
   /// Target fan-out: leave room for roughly kReserveEntriesPerBorder inline
   /// border entries per record next to the fixed record array.
@@ -116,8 +127,7 @@ class PackedBaTree {
     return t < 4 ? 4 : t;
   }
   bool PageSizeViable() const {
-    return LeafCapacity() >= 4 &&
-           (pool_->file()->page_size() - kIntHeader) / RecordSize() >= 4 &&
+    return LeafCapacity() >= 4 && InternalCapacity() >= 4 &&
            AggBTree<V>::PageSizeViable(pool_->file()->page_size());
   }
 
@@ -242,10 +252,11 @@ class PackedBaTree {
   /// Deep structural audit:
   ///  (a) every leaf point lies inside the half-open box of every record on
   ///      its root-to-leaf path, and in exactly one record per node;
-  ///  (b) raw packed-page layout — record array and border heap must not
-  ///      overlap, every inline border block must lie inside the heap with a
-  ///      sane entry count and strictly sorted entries — and spilled border
-  ///      trees audited recursively down to the AggBTree base case;
+  ///  (b) packed-page layout — beyond what Reader rejects on every read
+  ///      (record array overlapping the heap, inline blocks outside it),
+  ///      no empty internal node, inline runs within the entry cap,
+  ///      strictly sorted and pairwise disjoint — and spilled border trees
+  ///      audited recursively down to the AggBTree base case;
   ///  (c) when ctx->check_oracle (the default), a self-oracle: DominanceSum
   ///      at a sample of probe points equals a linear scan over the tree's
   ///      own leaves.
@@ -285,13 +296,6 @@ class PackedBaTree {
   }
 
  private:
-  // The replica builder snapshots nodes through the raw accessors below.
-  template <class>
-  friend class ReplicaBuilder;
-
-  /// Node reader for the shared descent; defined after the class.
-  class Reader;
-
   static constexpr uint16_t kLeaf = 5;
   static constexpr uint16_t kInternal = 10;   // packed internal node
   static constexpr uint32_t kLeafHeader = 8;
@@ -379,82 +383,40 @@ class PackedBaTree {
     p->WriteBytes(LeafOff(i) + sizeof(Point), &v, sizeof(V));
   }
 
-  static uint32_t IntCount(const Page* p) { return p->ReadAt<uint32_t>(4); }
   uint32_t RecOff(uint32_t i) const { return kIntHeader + i * RecordSize(); }
-  Box RecBox(const Page* p, uint32_t i) const {
-    return p->ReadAt<Box>(RecOff(i));
-  }
-  PageId RecChild(const Page* p, uint32_t i) const {
-    return p->ReadAt<uint64_t>(RecOff(i) + sizeof(Box));
-  }
-  void ReadRecSubtotal(const Page* p, uint32_t i, V* v) const {
-    p->ReadBytes(RecOff(i) + sizeof(Box) + 8, v, sizeof(V));
-  }
-  uint64_t RecBorderRef(const Page* p, uint32_t i, int b) const {
-    return p->ReadAt<uint64_t>(RecOff(i) + sizeof(Box) + 8 + sizeof(V) +
-                               8 * static_cast<uint32_t>(b));
-  }
-
-  static bool IsInlineRef(uint64_t ref) {
-    return ref != kEmptyRef && (ref & kInlineTag) != 0;
-  }
-  static uint32_t InlineOffset(uint64_t ref) {
-    return static_cast<uint32_t>(ref & 0xffffffffu);
-  }
-
-  static uint32_t BlockCount(const Page* p, uint32_t off) {
-    return p->ReadAt<uint16_t>(off);
-  }
-  uint32_t BlockEntryOff(uint32_t block_off, uint32_t k) const {
-    return block_off + kBlockHeader + k * BorderEntrySize();
-  }
-  Point BlockPoint(const Page* p, uint32_t block_off, uint32_t k) const {
-    const uint32_t off = BlockEntryOff(block_off, k);
-    Point pt;  // packed entries can be < kMaxDims
-    for (int d = 0; d < dims_ - 1; ++d) {
-      pt[d] = p->ReadAt<double>(off + 8 * static_cast<uint32_t>(d));
-    }
-    return pt;
-  }
-  V BlockValue(const Page* p, uint32_t block_off, uint32_t k) const {
-    V v;
-    p->ReadBytes(
-        BlockEntryOff(block_off, k) + 8 * static_cast<uint32_t>(dims_ - 1),
-        &v, sizeof(V));
-    return v;
-  }
-
   // ---- node image load/store ---------------------------------------------
 
   Status LoadNode(PageId pid, std::vector<RecImage>* recs) const {
-    PageGuard g;
-    BOXAGG_RETURN_NOT_OK(FetchNode(pid, &g));
-    const Page* p = g.page();
-    if (PageType(p) != kInternal) {
+    typename Reader::BaNode node;
+    BOXAGG_RETURN_NOT_OK(Reader(pool_, view_).Fetch(pid, dims_, &node));
+    if (node.leaf()) {
       return Status::Corruption("expected packed internal node");
     }
-    uint32_t n = IntCount(p);
+    return ReadRecords(node, recs);
+  }
+
+  /// The records of an internal Reader::BaNode as images, inline borders
+  /// copied out of the page.
+  template <class BaNode>
+  Status ReadRecords(const BaNode& node, std::vector<RecImage>* recs) const {
     recs->clear();
-    recs->resize(n);
-    for (uint32_t i = 0; i < n; ++i) {
+    recs->resize(node.count());
+    for (uint32_t i = 0; i < node.count(); ++i) {
       RecImage& r = (*recs)[i];
-      r.box = RecBox(p, i);
-      r.child = RecChild(p, i);
-      ReadRecSubtotal(p, i, &r.subtotal);
+      r.box = node.box(i);
+      r.child = node.child(i);
+      r.subtotal = node.subtotal(i);
       for (int b = 0; b < dims_; ++b) {
-        uint64_t ref = RecBorderRef(p, i, b);
+        typename Reader::Border border;
+        BOXAGG_RETURN_NOT_OK(node.ReadBorder(i, b, &border));
         BorderImage& bi = r.border[static_cast<size_t>(b)];
-        if (ref == kEmptyRef) continue;
-        if (IsInlineRef(ref)) {
-          uint32_t off = InlineOffset(ref);
-          uint32_t cnt = BlockCount(p, off);
-          bi.inline_entries.resize(cnt);
-          for (uint32_t k = 0; k < cnt; ++k) {
-            bi.inline_entries[k] = Entry{BlockPoint(p, off, k),
-                                         BlockValue(p, off, k)};
-          }
-        } else {
-          bi.tree = static_cast<PageId>(ref);
+        if (border.spilled) {
+          bi.tree = border.root;
+          continue;
+        }
+        bi.inline_entries.resize(border.size());
+        for (uint32_t k = 0; k < border.size(); ++k) {
+          bi.inline_entries[k] = Entry{border.point(k), border.value(k)};
         }
       }
     }
@@ -1079,26 +1041,17 @@ class PackedBaTree {
   // ---- traversal -----------------------------------------------------------
 
   Status ScanRec(PageId pid, std::vector<Entry>* out) const {
-    uint16_t type;
     std::vector<PageId> children;
     {
-      PageGuard g;
-      BOXAGG_RETURN_NOT_OK(FetchNode(pid, &g));
-      const Page* p = g.page();
-      type = PageType(p);
-      if (type == kLeaf) {
-        uint32_t n = LeafCount(p);
-        for (uint32_t i = 0; i < n; ++i) {
-          Entry e;
-          e.pt = LeafPoint(p, i);
-          ReadLeafValue(p, i, &e.value);
-          out->push_back(e);
+      typename Reader::BaNode node;
+      BOXAGG_RETURN_NOT_OK(Reader(pool_, view_).Fetch(pid, dims_, &node));
+      for (uint32_t i = 0; i < node.count(); ++i) {
+        if (node.leaf()) {
+          out->push_back(Entry{node.point(i), node.value(i)});
+        } else {
+          children.push_back(node.child(i));
         }
-        return Status::OK();
       }
-      uint32_t n = IntCount(p);
-      children.resize(n);
-      for (uint32_t i = 0; i < n; ++i) children[i] = RecChild(p, i);
     }
     for (PageId c : children) {
       BOXAGG_RETURN_NOT_OK(ScanRec(c, out));
@@ -1110,18 +1063,14 @@ class PackedBaTree {
   /// border roots (second = true); none for a leaf.
   Status NodeKids(PageId pid,
                   std::vector<std::pair<PageId, bool>>* kids) const {
-    PageGuard g;
-    BOXAGG_RETURN_NOT_OK(FetchNode(pid, &g));
-    const Page* p = g.page();
-    if (PageType(p) != kInternal) return Status::OK();
-    const uint32_t n = IntCount(p);
-    for (uint32_t i = 0; i < n; ++i) {
-      kids->push_back({RecChild(p, i), false});
+    typename Reader::BaNode node;
+    BOXAGG_RETURN_NOT_OK(Reader(pool_, view_).Fetch(pid, dims_, &node));
+    for (uint32_t i = 0; !node.leaf() && i < node.count(); ++i) {
+      kids->push_back({node.child(i), false});
       for (int b = 0; b < dims_; ++b) {
-        const uint64_t ref = RecBorderRef(p, i, b);
-        if (ref != kEmptyRef && !IsInlineRef(ref)) {
-          kids->push_back({static_cast<PageId>(ref), true});
-        }
+        typename Reader::Border border;
+        BOXAGG_RETURN_NOT_OK(node.ReadBorder(i, b, &border));
+        if (border.spilled) kids->push_back({border.root, true});
       }
     }
     return Status::OK();
@@ -1146,39 +1095,26 @@ class PackedBaTree {
 
   // ---- verification --------------------------------------------------------
 
-  /// Raw-layout checks of one packed internal page, then the containment
-  /// and tiling walk with border recursion. Collects the leaf points.
+  /// The node's layout checks, then the containment and tiling walk with
+  /// border recursion. Collects the leaf points.
   Status CheckRec(PageId pid, CheckContext* ctx,
                   std::vector<Entry>* out) const {
     BOXAGG_RETURN_NOT_OK(ctx->Visit(pid, "packed-ba-tree"));
+    std::vector<RecImage> recs;
     {
-      PageGuard g;
-      BOXAGG_RETURN_NOT_OK(FetchNode(pid, &g));
-      const Page* p = g.page();
-      const uint16_t type = PageType(p);
-      if (type == kLeaf) {
-        uint32_t n = LeafCount(p);
-        if (n > LeafCapacity()) {
-          return CorruptionAt(
-              pid, "packed-ba-tree: leaf count " + std::to_string(n) +
-                       " exceeds capacity " + std::to_string(LeafCapacity()));
-        }
-        for (uint32_t i = 0; i < n; ++i) {
-          Entry e;
-          e.pt = LeafPoint(p, i);
-          ReadLeafValue(p, i, &e.value);
-          out->push_back(e);
+      typename Reader::BaNode node;
+      BOXAGG_RETURN_NOT_OK(
+          NodeStatusAt(pid, "packed-ba-tree",
+                       Reader(pool_, view_).Fetch(pid, dims_, &node)));
+      if (node.leaf()) {
+        for (uint32_t k = 0; k < node.size(); ++k) {
+          out->push_back(Entry{node.point(k), node.value(k)});
         }
         return Status::OK();
       }
-      if (type != kInternal) {
-        return CorruptionAt(
-            pid, "packed-ba-tree: bad node type " + std::to_string(type));
-      }
-      BOXAGG_RETURN_NOT_OK(CheckPackedLayout(pid, p));
+      BOXAGG_RETURN_NOT_OK(CheckPackedLayout(pid, node));
+      BOXAGG_RETURN_NOT_OK(ReadRecords(node, &recs));
     }
-    std::vector<RecImage> recs;
-    BOXAGG_RETURN_NOT_OK(LoadNode(pid, &recs));
     const size_t begin = out->size();
     for (const RecImage& r : recs) {
       const size_t lo = out->size();
@@ -1209,54 +1145,36 @@ class PackedBaTree {
     return Status::OK();
   }
 
-  /// Byte-level invariants of a packed internal page: records below the
-  /// heap, heap blocks inside [heap_start, page_size), counts within the
-  /// inline cap, blocks pairwise disjoint, entries strictly sorted.
-  Status CheckPackedLayout(PageId pid, const Page* p) const {
-    const uint32_t page_size = pool_->file()->page_size();
-    const uint32_t n = IntCount(p);
-    const uint32_t heap = p->ReadAt<uint32_t>(8);
-    if (n == 0) {
+  /// Layout invariants of an internal Reader::BaNode beyond the bounds the
+  /// reader checks on every read: at least one record, and inline runs
+  /// within the entry cap, strictly sorted and pairwise disjoint.
+  template <class BaNode>
+  Status CheckPackedLayout(PageId pid, const BaNode& node) const {
+    if (node.count() == 0) {
       return CorruptionAt(pid, "packed-ba-tree: empty internal node");
     }
-    if (RecOff(n) > heap || heap > page_size) {
-      return CorruptionAt(
-          pid, "packed-ba-tree: record array (" + std::to_string(RecOff(n)) +
-                   " bytes) overlaps border heap at " + std::to_string(heap));
-    }
     std::vector<std::pair<uint32_t, uint32_t>> blocks;  // (off, end)
-    for (uint32_t i = 0; i < n; ++i) {
+    for (uint32_t i = 0; i < node.count(); ++i) {
       for (int b = 0; b < dims_; ++b) {
-        const uint64_t ref = RecBorderRef(p, i, b);
-        if (ref == kEmptyRef || !IsInlineRef(ref)) continue;
-        const uint32_t off = InlineOffset(ref);
-        if (off < heap || off + kBlockHeader > page_size) {
-          return CorruptionAt(pid,
-                              "packed-ba-tree: inline border block at " +
-                                  std::to_string(off) + " outside the heap");
-        }
-        const uint32_t cnt = BlockCount(p, off);
-        if (cnt == 0 || cnt > kMaxInlineEntries) {
+        typename Reader::Border border;
+        BOXAGG_RETURN_NOT_OK(NodeStatusAt(pid, "packed-ba-tree",
+                                          node.ReadBorder(i, b, &border)));
+        const uint32_t cnt = border.size();
+        if (border.spilled || cnt == 0) continue;
+        if (cnt > kMaxInlineEntries) {
           return CorruptionAt(
               pid, "packed-ba-tree: inline border entry count " +
-                       std::to_string(cnt) + " outside [1, " +
-                       std::to_string(kMaxInlineEntries) + "]");
+                       std::to_string(cnt) + " above " +
+                       std::to_string(kMaxInlineEntries));
         }
-        const uint32_t end = off + kBlockHeader + cnt * BorderEntrySize();
-        if (end > page_size) {
-          return CorruptionAt(
-              pid, "packed-ba-tree: inline border block overruns the page");
-        }
-        blocks.push_back({off, end});
-        Point prev;
-        for (uint32_t k = 0; k < cnt; ++k) {
-          const Point pt = BlockPoint(p, off, k);
-          if (k > 0 && !LexLess(prev, pt, dims_ - 1)) {
+        blocks.push_back({border.offset(), border.offset() + kBlockHeader +
+                                               cnt * BorderEntrySize()});
+        for (uint32_t k = 1; k < cnt; ++k) {
+          if (!LexLess(border.point(k - 1), border.point(k), dims_ - 1)) {
             return CorruptionAt(
                 pid, "packed-ba-tree: inline border entries not strictly "
                      "sorted");
           }
-          prev = pt;
         }
       }
     }
@@ -1305,9 +1223,12 @@ class PackedBaTree {
 };
 
 // LINT:hot-path — descent node reader: no heap allocation (lint.sh)
-/// Node reader for descent::PointBatch: the AggBTree reader for spilled
-/// 1-d borders, plus packed BA nodes read in place from the pinned page
-/// (through the pinned generation when the tree is snapshot-bound).
+/// Node reader for descent::PointBatch and the read-only walks: the
+/// AggBTree reader for spilled 1-d borders, plus packed BA nodes read in
+/// place from the pinned page (through the pinned generation when the tree
+/// is snapshot-bound). It is this page format's one decoder: Fetch checks
+/// the header and ReadBorder each inline block it hands out, so every byte
+/// a view reads lies inside the page.
 template <class V>
 class PackedBaTree<V>::Reader : public AggBTree<V>::Reader {
  public:
@@ -1321,12 +1242,25 @@ class PackedBaTree<V>::Reader : public AggBTree<V>::Reader {
     PageId root = kInvalidPageId;
     uint32_t size() const { return cnt_; }
     Point point(uint32_t k) const {
-      return layout_->BlockPoint(page_, off_, k);
+      const uint32_t off = EntryOff(k);
+      Point pt;  // packed entries can be < kMaxDims
+      for (int d = 0; d < layout_->dims_ - 1; ++d) {
+        pt[d] = page_->ReadAt<double>(off + 8 * static_cast<uint32_t>(d));
+      }
+      return pt;
     }
-    V value(uint32_t k) const { return layout_->BlockValue(page_, off_, k); }
+    V value(uint32_t k) const {
+      return page_->ReadAt<V>(EntryOff(k) +
+                              8 * static_cast<uint32_t>(layout_->dims_ - 1));
+    }
+    /// Byte offset of the inline block in its page.
+    uint32_t offset() const { return off_; }
 
    private:
     friend class Reader;
+    uint32_t EntryOff(uint32_t k) const {
+      return off_ + kBlockHeader + k * layout_->BorderEntrySize();
+    }
     const PackedBaTree* layout_ = nullptr;  // the node's, at its dims
     const Page* page_ = nullptr;
     uint32_t off_ = 0;
@@ -1336,50 +1270,82 @@ class PackedBaTree<V>::Reader : public AggBTree<V>::Reader {
   /// A pinned leaf (a run of its entries) or internal node.
   class BaNode {
    public:
-    bool leaf() const { return PageType(page_) == kLeaf; }
-    uint32_t count() const { return IntCount(page_); }
-    uint32_t size() const { return LeafCount(page_); }
+    bool leaf() const { return leaf_; }
+    uint32_t count() const { return n_; }
+    uint32_t size() const { return n_; }
     Point point(uint32_t k) const { return LeafPoint(page_, k); }
     V value(uint32_t k) const {
       V v;
       ReadLeafValue(page_, k, &v);
       return v;
     }
-    Box box(uint32_t i) const { return layout_.RecBox(page_, i); }
-    V subtotal(uint32_t i) const {
-      V v;
-      layout_.ReadRecSubtotal(page_, i, &v);
-      return v;
+    Box box(uint32_t i) const { return page_->ReadAt<Box>(Rec(i)); }
+    PageId child(uint32_t i) const {
+      return page_->ReadAt<PageId>(Rec(i) + sizeof(Box));
     }
-    PageId child(uint32_t i) const { return layout_.RecChild(page_, i); }
+    V subtotal(uint32_t i) const {
+      return page_->ReadAt<V>(Rec(i) + sizeof(Box) + 8);
+    }
     Status SkipBorders(uint32_t) const { return Status::OK(); }
+    /// Border b of record i: Corruption unless an inline block starts in
+    /// the heap, holds at least one entry and ends inside the page.
     Status ReadBorder(uint32_t i, int b, Border* out) const {
-      const uint64_t ref = layout_.RecBorderRef(page_, i, b);
+      const uint64_t ref = page_->ReadAt<uint64_t>(
+          Rec(i) + sizeof(Box) + 8 + sizeof(V) + 8 * static_cast<uint32_t>(b));
       if (ref == kEmptyRef) return Status::OK();
-      if (!IsInlineRef(ref)) {
+      if ((ref & kInlineTag) == 0) {
         out->spilled = true;
         out->root = static_cast<PageId>(ref);
         return Status::OK();
       }
+      const uint32_t off = static_cast<uint32_t>(ref);  // low 32 bits
+      if (off < heap_ || uint64_t{off} + kBlockHeader > page_->size()) {
+        return Status::Corruption("inline border block outside the heap");
+      }
+      const uint32_t cnt = page_->ReadAt<uint16_t>(off);
+      if (cnt == 0 || uint64_t{off} + kBlockHeader +
+                              uint64_t{cnt} * layout_.BorderEntrySize() >
+                          page_->size()) {
+        return Status::Corruption("inline border block empty or past the "
+                                  "page");
+      }
       out->layout_ = &layout_;
       out->page_ = page_;
-      out->off_ = InlineOffset(ref);
-      out->cnt_ = BlockCount(page_, out->off_);
+      out->off_ = off;
+      out->cnt_ = cnt;
       return Status::OK();
     }
 
    private:
     friend class Reader;
+    uint32_t Rec(uint32_t i) const { return layout_.RecOff(i); }
     PackedBaTree layout_{nullptr, 2};  // re-bound to the node's dims by Fetch
     PageGuard guard_;
     const Page* page_ = nullptr;
+    uint32_t n_ = 0;
+    uint32_t heap_ = 0;  // heap_start of an internal node
+    bool leaf_ = false;
   };
 
+  /// Pins node `pid` of a `dims`-dimensional tree: Corruption unless its
+  /// type is leaf or internal, its count fits that type's capacity and, for
+  /// an internal node, heap_start lies in [end of the records, page size].
   Status Fetch(PageId pid, int dims, BaNode* node) const {
     node->layout_ =
         PackedBaTree(this->pool_, dims, kInvalidPageId, this->view_);
     BOXAGG_RETURN_NOT_OK(this->FetchPage(pid, &node->guard_));
-    node->page_ = node->guard_.page();
+    const Page* p = node->guard_.page();
+    const PackedBaTree& t = node->layout_;
+    BOXAGG_RETURN_NOT_OK(this->ReadHeader(p, kLeaf, t.LeafCapacity(),
+                                          kInternal, t.InternalCapacity(),
+                                          &node->leaf_, &node->n_));
+    node->page_ = p;
+    if (!node->leaf_) {
+      node->heap_ = p->ReadAt<uint32_t>(8);
+      if (node->heap_ < t.RecOff(node->n_) || node->heap_ > p->size()) {
+        return Status::Corruption("record array overlaps the border heap");
+      }
+    }
     return Status::OK();
   }
 };

@@ -80,9 +80,8 @@ class AggBTree {
   }
 
   // ---- public layout map ---------------------------------------------------
-  // Byte offsets of the SoA strips, exposed for the composite structures that
-  // must address AggBTree pages directly (EcdfBTree::CloneAgg patches child
-  // pointers while copying subtrees) and for the corruption-injection tests.
+  // Byte offsets of the SoA strips, exposed for the corruption-injection
+  // tests. Every other reader outside this file goes through Reader.
 
   static uint32_t LeafKeyOffset(uint32_t i) { return kHeaderSize + i * 8; }
   static uint32_t LeafValueOffset(uint32_t page_size, uint32_t i) {
@@ -170,13 +169,6 @@ class AggBTree {
     return ScanRec(root_, out);
   }
 
-  /// Number of distinct keys stored.
-  Status CountEntries(uint64_t* out) const {
-    *out = 0;
-    if (root_ == kInvalidPageId) return Status::OK();
-    return CountRec(root_, out);
-  }
-
   /// Number of pages owned by the tree.
   Status PageCount(uint64_t* out) const {
     *out = 0;
@@ -257,6 +249,14 @@ class AggBTree {
     return Status::OK();
   }
 
+  /// Deep-copies the tree into new pages; *out receives the copy's root
+  /// (kInvalidPageId for an empty tree). The tree itself is untouched.
+  Status CloneInto(PageId* out) const {
+    *out = kInvalidPageId;
+    if (root_ == kInvalidPageId) return Status::OK();
+    return CloneRec(root_, out);
+  }
+
   /// Frees every page of the tree; the handle becomes empty.
   Status Destroy() {
     BOXAGG_RETURN_NOT_OK(RequireWritable());
@@ -282,10 +282,11 @@ class AggBTree {
   }
 
   // LINT:hot-path — descent node reader: no heap allocation (lint.sh)
-  /// Node reader for the shared descent (core/dominance_descent.h): reads
-  /// each node in place from its pinned page, through the pinned
-  /// generation when `view` is non-null. The readers of PackedBaTree and
-  /// EcdfBTree extend it.
+  /// Node reader for the shared descent (core/dominance_descent.h) and
+  /// this page format's one decoder: the scans, the audit and
+  /// ReplicaBuilder read nodes through it too. Reads each node in place
+  /// from its pinned page, through the pinned generation when `view` is
+  /// non-null. The readers of PackedBaTree and EcdfBTree extend it.
   class Reader {
    public:
     using Value = V;
@@ -377,10 +378,6 @@ class AggBTree {
   // LINT:hot-path-end
 
  private:
-  // The replica builder snapshots nodes through the raw accessors below.
-  template <class>
-  friend class ReplicaBuilder;
-
   static constexpr uint16_t kLeaf = 1;
   static constexpr uint16_t kInternal = 2;
   static constexpr uint32_t kHeaderSize = 8;
@@ -620,50 +617,51 @@ class AggBTree {
   // ---- traversal ----------------------------------------------------------
 
   Status ScanRec(PageId pid, std::vector<Entry>* out) const {
-    PageGuard g;
-    BOXAGG_RETURN_NOT_OK(FetchNode(pid, &g));
-    const Page* p = g.page();
-    uint32_t n = Count(p);
-    if (Type(p) == kLeaf) {
-      for (uint32_t i = 0; i < n; ++i) {
-        Entry e;
-        e.key = LeafKey(p, i);
-        ReadLeafValue(p, i, &e.value);
-        out->push_back(e);
+    typename Reader::AggNode node;
+    BOXAGG_RETURN_NOT_OK(Reader(pool_, view_).Fetch(pid, &node));
+    for (uint32_t i = 0; i < node.count(); ++i) {
+      if (node.leaf()) {
+        out->push_back(Entry{node.keys()[i], node.value(i)});
+      } else {
+        BOXAGG_RETURN_NOT_OK(ScanRec(node.child(i), out));
       }
-      return Status::OK();
-    }
-    for (uint32_t i = 0; i < n; ++i) {
-      PageId child = InternalChild(p, i);
-      BOXAGG_RETURN_NOT_OK(ScanRec(child, out));
-    }
-    return Status::OK();
-  }
-
-  Status CountRec(PageId pid, uint64_t* out) const {
-    PageGuard g;
-    BOXAGG_RETURN_NOT_OK(FetchNode(pid, &g));
-    const Page* p = g.page();
-    uint32_t n = Count(p);
-    if (Type(p) == kLeaf) {
-      *out += n;
-      return Status::OK();
-    }
-    for (uint32_t i = 0; i < n; ++i) {
-      BOXAGG_RETURN_NOT_OK(CountRec(InternalChild(p, i), out));
     }
     return Status::OK();
   }
 
   Status PageCountRec(PageId pid, uint64_t* out) const {
-    PageGuard g;
-    BOXAGG_RETURN_NOT_OK(FetchNode(pid, &g));
-    const Page* p = g.page();
+    typename Reader::AggNode node;
+    BOXAGG_RETURN_NOT_OK(Reader(pool_, view_).Fetch(pid, &node));
     *out += 1;
-    if (Type(p) == kInternal) {
-      uint32_t n = Count(p);
+    for (uint32_t i = 0; !node.leaf() && i < node.count(); ++i) {
+      BOXAGG_RETURN_NOT_OK(PageCountRec(node.child(i), out));
+    }
+    return Status::OK();
+  }
+
+  /// Copies page `pid` and, below an internal node, its subtrees; the
+  /// copy's child ids are patched one at a time so pins stay bounded.
+  Status CloneRec(PageId pid, PageId* out) const {
+    PageGuard src, dst;
+    BOXAGG_RETURN_NOT_OK(FetchNode(pid, &src));
+    BOXAGG_RETURN_NOT_OK(pool_->New(&dst));
+    std::memcpy(dst.page()->data(), src.page()->data(), PageSz());
+    dst.MarkDirty();
+    *out = dst.id();
+    if (Type(src.page()) == kInternal) {
+      const uint32_t n = Count(src.page());
+      src.Release();
       for (uint32_t i = 0; i < n; ++i) {
-        BOXAGG_RETURN_NOT_OK(PageCountRec(InternalChild(p, i), out));
+        PageGuard d2;
+        BOXAGG_RETURN_NOT_OK(FetchNode(*out, &d2));
+        const PageId child = InternalChild(d2.page(), i);
+        d2.Release();
+        PageId cloned;
+        BOXAGG_RETURN_NOT_OK(CloneRec(child, &cloned));
+        BOXAGG_RETURN_NOT_OK(FetchNode(*out, &d2));
+        d2.page()->WriteAt<uint64_t>(InternalChildOffset(PageSz(), i),
+                                     cloned);
+        d2.MarkDirty();
       }
     }
     return Status::OK();
@@ -682,49 +680,36 @@ class AggBTree {
   Status CheckRec(PageId pid, bool is_root, CheckContext* ctx,
                   SubtreeFacts* out) const {
     BOXAGG_RETURN_NOT_OK(ctx->Visit(pid, "agg-btree"));
-    PageGuard g;
-    BOXAGG_RETURN_NOT_OK(FetchNode(pid, &g));
-    const Page* p = g.page();
-    const uint16_t type = Type(p);
-    if (type != kLeaf && type != kInternal) {
-      return CorruptionAt(pid,
-                          "agg-btree: bad node type " + std::to_string(type));
-    }
-    const uint32_t page_size = pool_->file()->page_size();
-    const uint32_t cap =
-        type == kLeaf ? LeafCapacity(page_size) : InternalCapacity(page_size);
-    const uint32_t n = Count(p);
-    if (n == 0 || n > cap) {
-      return CorruptionAt(pid, "agg-btree: entry count " + std::to_string(n) +
-                                   " outside [1, " + std::to_string(cap) +
-                                   "]");
-    }
+    typename Reader::AggNode node;
+    BOXAGG_RETURN_NOT_OK(NodeStatusAt(pid, "agg-btree",
+                                      Reader(pool_, view_).Fetch(pid, &node)));
+    const uint32_t n = node.count();
+    if (n == 0) return CorruptionAt(pid, "agg-btree: empty node");
     if (!is_root && n < 2) {
       return CorruptionAt(pid, "agg-btree: underfull non-root node");
     }
+    const double* keys = node.keys();
 
-    if (type == kLeaf) {
+    if (node.leaf()) {
       out->sum = V{};
       for (uint32_t i = 0; i < n; ++i) {
-        if (i > 0 && !(LeafKey(p, i - 1) < LeafKey(p, i))) {
+        if (i > 0 && !(keys[i - 1] < keys[i])) {
           return CorruptionAt(
               pid, "agg-btree: leaf keys not strictly increasing at entry " +
                        std::to_string(i));
         }
-        V v;
-        ReadLeafValue(p, i, &v);
-        out->sum += v;
+        out->sum += node.value(i);
       }
-      out->min_key = LeafKey(p, 0);
-      out->max_key = LeafKey(p, n - 1);
+      out->min_key = keys[0];
+      out->max_key = keys[n - 1];
       out->depth = 0;
       return Status::OK();
     }
 
     out->sum = V{};
     for (uint32_t i = 0; i < n; ++i) {
-      const double lowkey = InternalLowKey(p, i);
-      if (i > 0 && !(InternalLowKey(p, i - 1) < lowkey)) {
+      const double lowkey = keys[i];
+      if (i > 0 && !(keys[i - 1] < lowkey)) {
         return CorruptionAt(
             pid, "agg-btree: internal lowkeys not strictly increasing at "
                  "entry " +
@@ -732,7 +717,7 @@ class AggBTree {
       }
       SubtreeFacts child;
       BOXAGG_RETURN_NOT_OK(
-          CheckRec(InternalChild(p, i), /*is_root=*/false, ctx, &child));
+          CheckRec(node.child(i), /*is_root=*/false, ctx, &child));
       // Entry 0's lowkey can be stale after inserts of smaller keys (routing
       // treats it as -infinity), so only entries i >= 1 bound from below.
       if (i > 0 && child.min_key < lowkey) {
@@ -740,14 +725,12 @@ class AggBTree {
                                      std::to_string(i) +
                                      " holds a key below its lowkey");
       }
-      if (i + 1 < n && child.max_key >= InternalLowKey(p, i + 1)) {
+      if (i + 1 < n && child.max_key >= keys[i + 1]) {
         return CorruptionAt(pid, "agg-btree: subtree of entry " +
                                      std::to_string(i) +
                                      " reaches into the next record's range");
       }
-      V stored;
-      ReadInternalSum(p, i, &stored);
-      if (AggDrift(stored, child.sum) > kAggDriftTolerance) {
+      if (AggDrift(node.sum(i), child.sum) > kAggDriftTolerance) {
         return CorruptionAt(pid, "agg-btree: record aggregate of entry " +
                                      std::to_string(i) +
                                      " != recomputed subtree sum");
@@ -767,15 +750,10 @@ class AggBTree {
   Status DestroyRec(PageId pid) {
     std::vector<PageId> children;
     {
-      PageGuard g;
-      BOXAGG_RETURN_NOT_OK(FetchNode(pid, &g));
-      const Page* p = g.page();
-      if (Type(p) == kInternal) {
-        uint32_t n = Count(p);
-        children.reserve(n);
-        for (uint32_t i = 0; i < n; ++i) {
-          children.push_back(InternalChild(p, i));
-        }
+      typename Reader::AggNode node;
+      BOXAGG_RETURN_NOT_OK(Reader(pool_, view_).Fetch(pid, &node));
+      for (uint32_t i = 0; !node.leaf() && i < node.count(); ++i) {
+        children.push_back(node.child(i));
       }
     }
     for (PageId c : children) {

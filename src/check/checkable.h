@@ -36,6 +36,14 @@ inline Status CorruptionAt(PageId pid, const std::string& what) {
   return Status::Corruption("page " + std::to_string(pid) + ": " + what);
 }
 
+/// A node reader's verdict on page `pid` as an audit reports it: a
+/// Corruption becomes "page <pid>: <structure>: <what>"; OK and every other
+/// code (a failed fetch) pass through unchanged.
+inline Status NodeStatusAt(PageId pid, const char* structure, Status st) {
+  if (st.code() != Status::Code::kCorruption) return st;
+  return CorruptionAt(pid, std::string(structure) + ": " + st.message());
+}
+
 /// \brief Shared state for one verification pass.
 ///
 /// A single context may be threaded through many structures that live in the

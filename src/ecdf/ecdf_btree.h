@@ -209,20 +209,6 @@ class EcdfBTree {
     return ScanRec(root_, out);
   }
 
-  /// Number of distinct points in the main branch.
-  Status CountEntries(uint64_t* out) const {
-    *out = 0;
-    if (root_ == kInvalidPageId) return Status::OK();
-    if (dims_ == 1) {
-      AggBTree<V> base(pool_, root_, view_);
-      return base.CountEntries(out);
-    }
-    std::vector<Entry> all;
-    BOXAGG_RETURN_NOT_OK(ScanRec(root_, &all));
-    *out = all.size();
-    return Status::OK();
-  }
-
   /// Pages owned by this tree, including every border recursively. This is
   /// the index-size metric of Fig. 9a.
   Status PageCount(uint64_t* out) const {
@@ -400,7 +386,9 @@ class EcdfBTree {
   // LINT:hot-path — descent node reader: no heap allocation (lint.sh)
   /// Node reader for descent::PointBatch: the AggBTree reader for the 1-d
   /// base case, plus main-branch nodes read in place from the pinned page
-  /// (through the pinned generation when the tree is snapshot-bound).
+  /// (through the pinned generation when the tree is snapshot-bound). It
+  /// is this page format's one checked decoder: the scans, the page count,
+  /// the Destroy walk and the audit read main-branch nodes through it too.
   class Reader : public AggBTree<V>::Reader {
    public:
     using AggBTree<V>::Reader::Fetch;
@@ -537,74 +525,59 @@ class EcdfBTree {
   Status CheckRec(PageId pid, bool is_root, CheckContext* ctx,
                   SubtreeFacts* out) const {
     BOXAGG_RETURN_NOT_OK(ctx->Visit(pid, "ecdf-btree"));
-    PageGuard g;
-    BOXAGG_RETURN_NOT_OK(FetchNode(pid, &g));
-    const Page* p = g.page();
-    const uint16_t type = Type(p);
-    if (type != kLeaf && type != kInternal) {
-      return CorruptionAt(pid,
-                          "ecdf-btree: bad node type " + std::to_string(type));
-    }
-    const uint32_t page_size = pool_->file()->page_size();
-    const uint32_t cap =
-        type == kLeaf ? LeafCapacity(page_size) : InternalCapacity(page_size);
-    const uint32_t n = Count(p);
-    if (n == 0 || n > cap) {
-      return CorruptionAt(pid, "ecdf-btree: entry count " + std::to_string(n) +
-                                   " outside [1, " + std::to_string(cap) +
-                                   "]");
-    }
+    typename Reader::EcdfNode node;
+    BOXAGG_RETURN_NOT_OK(
+        NodeStatusAt(pid, "ecdf-btree",
+                     Reader(pool_, view_, variant_).Fetch(pid, &node)));
+    const uint32_t n = node.count();
+    if (n == 0) return CorruptionAt(pid, "ecdf-btree: empty node");
     if (!is_root && n < 2) {
       return CorruptionAt(pid, "ecdf-btree: underfull non-root node");
     }
 
-    if (type == kLeaf) {
+    if (node.leaf()) {
       out->sum = V{};
       for (uint32_t i = 0; i < n; ++i) {
-        if (i > 0 &&
-            !LexLess(LeafPoint(p, i - 1), LeafPoint(p, i), dims_)) {
+        if (i > 0 && !LexLess(node.point(i - 1), node.point(i), dims_)) {
           return CorruptionAt(
               pid, "ecdf-btree: leaf points not strictly increasing "
                    "(lexicographic) at entry " +
                        std::to_string(i));
         }
-        V v;
-        ReadLeafValue(p, i, &v);
-        out->sum += v;
+        out->sum += node.value(i);
       }
-      out->min_key = LeafPoint(p, 0)[0];
-      out->max_key = LeafPoint(p, n - 1)[0];
+      out->min_key = node.point(0)[0];
+      out->max_key = node.point(n - 1)[0];
       out->depth = 0;
       return Status::OK();
     }
 
+    const double* keys = node.keys();
     out->sum = V{};
     V prefix{};  // running sum of records 0..i, the Bq border identity target
     for (uint32_t i = 0; i < n; ++i) {
-      const double lowkey = InternalLowKey(p, i);
+      const double lowkey = keys[i];
       // Points sharing a dim-0 coordinate may straddle a split boundary, so
       // lowkeys are only non-decreasing (unlike the coalesced 1-d tree).
-      if (i > 0 && InternalLowKey(p, i - 1) > lowkey) {
+      if (i > 0 && keys[i - 1] > lowkey) {
         return CorruptionAt(
             pid, "ecdf-btree: internal lowkeys decreasing at entry " +
                      std::to_string(i));
       }
       SubtreeFacts child;
       BOXAGG_RETURN_NOT_OK(
-          CheckRec(InternalChild(p, i), /*is_root=*/false, ctx, &child));
+          CheckRec(node.child(i), /*is_root=*/false, ctx, &child));
       if (i > 0 && child.min_key < lowkey) {
         return CorruptionAt(pid, "ecdf-btree: subtree of entry " +
                                      std::to_string(i) +
                                      " holds a key below its lowkey");
       }
-      if (i + 1 < n && child.max_key > InternalLowKey(p, i + 1)) {
+      if (i + 1 < n && child.max_key > keys[i + 1]) {
         return CorruptionAt(pid, "ecdf-btree: subtree of entry " +
                                      std::to_string(i) +
                                      " reaches past the next record's lowkey");
       }
-      V stored;
-      ReadInternalSum(p, i, &stored);
-      if (AggDrift(stored, child.sum) > kAggDriftTolerance) {
+      if (AggDrift(node.sum(i), child.sum) > kAggDriftTolerance) {
         return CorruptionAt(pid, "ecdf-btree: record aggregate of entry " +
                                      std::to_string(i) +
                                      " != recomputed subtree sum");
@@ -620,8 +593,7 @@ class EcdfBTree {
       prefix += child.sum;
 
       // Border: audit its own structure, then the variant identity.
-      EcdfBTree border(pool_, dims_ - 1, variant_, InternalBorder(p, i),
-                       view_);
+      EcdfBTree border(pool_, dims_ - 1, variant_, node.border(i), view_);
       BOXAGG_RETURN_NOT_OK(border.CheckConsistency(ctx));
       V border_total;
       BOXAGG_RETURN_NOT_OK(border.TotalSum(&border_total));
@@ -689,39 +661,9 @@ class EcdfBTree {
       return Status::OK();
     }
     if (dims_ == 1) {
-      return CloneAgg(root_, out);
+      return AggBTree<V>(pool_, root_, view_).CloneInto(out);
     }
     return CloneRec(root_, out);
-  }
-
-  /// Clone of a base AggBTree page graph (type 1/2 pages).
-  Status CloneAgg(PageId pid, PageId* out) {
-    PageGuard src, dst;
-    BOXAGG_RETURN_NOT_OK(FetchNode(pid, &src));
-    BOXAGG_RETURN_NOT_OK(pool_->New(&dst));
-    std::memcpy(dst.page()->data(), src.page()->data(),
-                pool_->file()->page_size());
-    dst.MarkDirty();
-    *out = dst.id();
-    if (src.page()->ReadAt<uint16_t>(0) == 2) {  // AggBTree internal
-      uint32_t n = src.page()->ReadAt<uint32_t>(4);
-      src.Release();
-      const uint32_t ps = pool_->file()->page_size();
-      for (uint32_t i = 0; i < n; ++i) {
-        // Re-fetch per child to bound pin counts.
-        PageGuard d2;
-        BOXAGG_RETURN_NOT_OK(FetchNode(*out, &d2));
-        const uint32_t child_off = AggBTree<V>::InternalChildOffset(ps, i);
-        PageId child = d2.page()->ReadAt<uint64_t>(child_off);
-        d2.Release();
-        PageId cloned;
-        BOXAGG_RETURN_NOT_OK(CloneAgg(child, &cloned));
-        BOXAGG_RETURN_NOT_OK(FetchNode(*out, &d2));
-        d2.page()->WriteAt<uint64_t>(child_off, cloned);
-        d2.MarkDirty();
-      }
-    }
-    return Status::OK();
   }
 
   Status CloneRec(PageId pid, PageId* out) {

@@ -66,6 +66,19 @@ class CompactReplica {
   [[nodiscard]] int dims() const { return dims_; }
   [[nodiscard]] bool is_open() const { return cache_ != nullptr; }
 
+  /// Sets *is_root to whether page `root` is a replica header rather than
+  /// the root node of a live tree (both can fill a .bag root slot); false
+  /// for an empty root. A failed fetch is returned, not read as "no".
+  static Status IsRoot(BufferPool* pool, PageId root, bool* is_root) {
+    *is_root = false;
+    if (root == kInvalidPageId) return Status::OK();
+    PageGuard g;
+    BOXAGG_RETURN_NOT_OK(pool->Fetch(root, &g));
+    *is_root = g.page()->ReadAt<uint16_t>(replica::kHdrType) ==
+               replica::kHeaderPageType;
+    return Status::OK();
+  }
+
   /// Loads the header, meta chain, directory and dictionaries. Call once
   /// before concurrent querying; repeat calls are no-ops.
   Status Open() {

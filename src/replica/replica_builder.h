@@ -9,7 +9,10 @@
 // PageIds; spilled border roots are enqueued after the children and keep
 // their explicit ordinals in the border sections. BFS order also clusters
 // each tree level contiguously in the data-page run, which is what makes
-// top-of-tree pages stay resident in a small buffer pool.
+// top-of-tree pages stay resident in a small buffer pool. Source nodes are
+// read through each tree's node reader (PackedBaTree::Reader,
+// AggBTree::Reader), the one checked decoder of its page format, so a
+// hostile source page fails the build with Corruption.
 //
 // The walk doubles as dictionary collection: every coordinate double and
 // every stored leaf/border value feeds a per-replica sorted dictionary, and
@@ -30,6 +33,7 @@
 
 #include "batree/packed_ba_tree.h"
 #include "bptree/agg_btree.h"
+#include "check/checkable.h"
 #include "core/point_entry.h"
 #include "geom/box.h"
 #include "geom/point.h"
@@ -274,60 +278,51 @@ class ReplicaBuilder {
   }
 
   /// Loads the source node behind `it` into `nd`, enqueuing its children
-  /// (consecutively) and spilled border roots on `items`.
+  /// (consecutively) and spilled border roots on `items`, from one fetch.
   Status LoadSource(const WorkItem& it, std::vector<WorkItem>* items,
                     NodeImage* nd) const {
     if (it.dims == 1) return LoadAggNode(it, items, nd);
-    PageGuard g;
-    BOXAGG_RETURN_NOT_OK(pool_->Fetch(it.pid, &g));
-    const Page* p = g.page();
-    const uint16_t type = Pbt::PageType(p);
-    if (type == Pbt::kLeaf) {
-      const uint32_t n = Pbt::LeafCount(p);
+    typename Pbt::Reader::BaNode node;
+    BOXAGG_RETURN_NOT_OK(NodeStatusAt(
+        it.pid, "replica-builder",
+        typename Pbt::Reader(pool_, nullptr).Fetch(it.pid, it.dims, &node)));
+    const uint32_t n = node.count();
+    nd->n = n;
+    nd->vals.resize(n);
+    if (node.leaf()) {
       nd->kind = replica::kNodeBaLeaf;
-      nd->n = n;
       nd->pts.resize(n);
-      nd->vals.resize(n);
       for (uint32_t i = 0; i < n; ++i) {
-        nd->pts[i] = Pbt::LeafPoint(p, i);
-        Pbt::ReadLeafValue(p, i, &nd->vals[i]);
+        nd->pts[i] = node.point(i);
+        nd->vals[i] = node.value(i);
       }
       return Status::OK();
     }
-    if (type != Pbt::kInternal) {
-      return CorruptionAt(it.pid, "replica-builder: unexpected page type " +
-                                      std::to_string(type) +
-                                      " in a packed BA-tree");
-    }
-    g.Release();
-    Pbt handle(pool_, it.dims, it.pid);
-    std::vector<typename Pbt::RecImage> recs;
-    BOXAGG_RETURN_NOT_OK(handle.LoadNode(it.pid, &recs));
-    const uint32_t n = static_cast<uint32_t>(recs.size());
     nd->kind = replica::kNodeBaInternal;
-    nd->n = n;
     nd->first_child = items->size();
-    for (const auto& r : recs) {
-      items->push_back(WorkItem{r.child, it.dims, it.level + 1});
+    for (uint32_t i = 0; i < n; ++i) {
+      items->push_back(WorkItem{node.child(i), it.dims, it.level + 1});
     }
     nd->boxes.resize(n);
-    nd->vals.resize(n);
     nd->borders.resize(n);
     for (uint32_t i = 0; i < n; ++i) {
-      nd->boxes[i] = recs[i].box;
-      nd->vals[i] = recs[i].subtotal;
+      nd->boxes[i] = node.box(i);
+      nd->vals[i] = node.subtotal(i);
       nd->borders[i].resize(static_cast<size_t>(it.dims));
       for (int b = 0; b < it.dims; ++b) {
-        const auto& src = recs[i].border[static_cast<size_t>(b)];
+        typename Pbt::Reader::Border src;
+        BOXAGG_RETURN_NOT_OK(NodeStatusAt(it.pid, "replica-builder",
+                                          node.ReadBorder(i, b, &src)));
         BorderEnc& enc = nd->borders[i][static_cast<size_t>(b)];
-        if (src.Empty()) continue;
-        if (src.IsTree()) {
+        if (src.spilled) {
           enc.tag = replica::kBorderSpill;
           enc.spill_ord = items->size();
-          items->push_back(WorkItem{src.tree, it.dims - 1, it.level + 1});
-        } else {
+          items->push_back(WorkItem{src.root, it.dims - 1, it.level + 1});
+        } else if (src.size() > 0) {
           enc.tag = replica::kBorderInline;
-          enc.entries = src.inline_entries;
+          for (uint32_t k = 0; k < src.size(); ++k) {
+            enc.entries.push_back({src.point(k), src.value(k)});
+          }
         }
       }
     }
@@ -336,38 +331,23 @@ class ReplicaBuilder {
 
   Status LoadAggNode(const WorkItem& it, std::vector<WorkItem>* items,
                      NodeImage* nd) const {
-    PageGuard g;
-    BOXAGG_RETURN_NOT_OK(pool_->Fetch(it.pid, &g));
-    const Page* p = g.page();
-    const uint32_t page_size = pool_->file()->page_size();
-    const uint16_t type = Agg::Type(p);
-    const uint32_t n = Agg::Count(p);
+    typename Agg::Reader::AggNode node;
+    BOXAGG_RETURN_NOT_OK(NodeStatusAt(
+        it.pid, "replica-builder",
+        typename Agg::Reader(pool_, nullptr).Fetch(it.pid, &node)));
+    const uint32_t n = node.count();
+    nd->kind = node.leaf() ? replica::kNodeAggLeaf : replica::kNodeAggInternal;
     nd->n = n;
-    nd->keys.resize(n);
+    nd->keys.assign(node.keys(), node.keys() + n);
     nd->vals.resize(n);
-    if (type == Agg::kLeaf) {
-      nd->kind = replica::kNodeAggLeaf;
-      for (uint32_t i = 0; i < n; ++i) {
-        nd->keys[i] = p->ReadAt<double>(Agg::LeafKeyOffset(i));
-        p->ReadBytes(Agg::LeafValueOffset(page_size, i), &nd->vals[i],
-                     sizeof(V));
-      }
-      return Status::OK();
-    }
-    if (type != Agg::kInternal) {
-      return CorruptionAt(it.pid, "replica-builder: unexpected page type " +
-                                      std::to_string(type) +
-                                      " in an aggregate B+-tree");
-    }
-    nd->kind = replica::kNodeAggInternal;
-    nd->first_child = items->size();
+    if (!node.leaf()) nd->first_child = items->size();
     for (uint32_t i = 0; i < n; ++i) {
-      nd->keys[i] = p->ReadAt<double>(Agg::InternalLowKeyOffset(i));
-      p->ReadBytes(Agg::InternalSumOffset(page_size, i), &nd->vals[i],
-                   sizeof(V));
-      items->push_back(
-          WorkItem{p->ReadAt<uint64_t>(Agg::InternalChildOffset(page_size, i)),
-                   1, it.level + 1});
+      if (node.leaf()) {
+        nd->vals[i] = node.value(i);
+      } else {
+        nd->vals[i] = node.sum(i);
+        items->push_back(WorkItem{node.child(i), 1, it.level + 1});
+      }
     }
     return Status::OK();
   }

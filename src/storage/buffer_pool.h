@@ -64,9 +64,11 @@ struct BufferPoolOptions {
 class BufferPool {
  public:
   /// \param file     backing store (not owned)
-  /// \param capacity maximum number of resident pages across all shards
+  /// \param capacity requested number of resident pages across all shards
   ///                 (>= max simultaneous pins of any operation; indexes pin
-  ///                 O(depth) pages)
+  ///                 O(depth) pages). Each shard keeps at least 8 frames, so
+  ///                 the pool holds max(capacity, 8 * shards) pages: a
+  ///                 smaller request is raised, never refused.
   /// \param shards   number of independently locked sub-pools; 1 reproduces
   ///                 the exact global LRU of the single-threaded seed
   /// \param opts     fault-handling knobs (retry bound and backoff)
@@ -166,6 +168,8 @@ class BufferPool {
   void ExportMetrics(obs::MetricsRegistry* reg) const;
 
   PageFile* file() { return file_; }
+  /// Resident-page limit actually in force: the requested capacity after
+  /// the 8-frames-per-shard minimum, summed over the shards.
   [[nodiscard]] size_t capacity() const { return capacity_; }
   [[nodiscard]] size_t shard_count() const { return shards_.size(); }
   [[nodiscard]] size_t resident() const;

@@ -15,6 +15,7 @@
 #include "core/naive.h"
 #include "ecdf/ecdf_btree.h"
 #include "ecdf/static_ecdf_tree.h"
+#include "hostile_bytes.h"
 #include "storage/buffer_pool.h"
 #include "workload/generators.h"
 
@@ -274,9 +275,9 @@ TEST(EcdfBTree, EmptyTreeQueries) {
     double s = -1;
     ASSERT_TRUE(tree.DominanceSum(Point::MaxPoint(dims), &s).ok());
     EXPECT_EQ(s, 0.0);
-    uint64_t n = 9;
-    ASSERT_TRUE(tree.CountEntries(&n).ok());
-    EXPECT_EQ(n, 0u);
+    std::vector<EcdfBTree<double>::Entry> all;
+    ASSERT_TRUE(tree.ScanAll(&all).ok());
+    EXPECT_TRUE(all.empty());
     uint64_t pages = 9;
     ASSERT_TRUE(tree.PageCount(&pages).ok());
     EXPECT_EQ(pages, 0u);
@@ -357,11 +358,10 @@ TEST(EcdfBTree, FetchOrderAndPinWindowMatchSeed) {
   }
 }
 
-// Hostile bytes: overwrite a few bytes of one page through the pool (so no
-// crc is involved), run a fixed query batch, restore the page. Every batch
-// must return a Status — no crash, hang or out-of-bounds read, whatever the
-// bytes say about node types, counts, child or border ids. The Debug +
-// ASan CI job runs this test.
+// Hostile bytes (tests/hostile_bytes.h): every query batch must return a
+// Status — no crash, hang or out-of-bounds read, whatever the bytes say
+// about node types, counts, child or border ids. The Debug + ASan CI job
+// runs this test.
 TEST(EcdfBTree, HostileNodeBytesYieldStatusNotCrash) {
   workload::RectConfig rc;
   rc.n = 1000;
@@ -379,41 +379,10 @@ TEST(EcdfBTree, HostileNodeBytesYieldStatusNotCrash) {
     std::vector<double> out(queries.size());
     ASSERT_TRUE(
         index.QueryBatch(queries.data(), queries.size(), out.data()).ok());
-    const uint64_t pages = file.page_count();
-
-    std::mt19937_64 rng(0x5eed);
-    int failed = 0;
-    for (int round = 0; round < 300; ++round) {
-      const PageId pid = rng() % pages;
-      std::vector<uint8_t> saved;
-      {
-        PageGuard g;
-        ASSERT_TRUE(pool.Fetch(pid, &g).ok());
-        Page* page = g.page();
-        saved.assign(page->data(), page->data() + page->size());
-        const uint32_t at = static_cast<uint32_t>(rng() % page->size());
-        const uint32_t n =
-            std::min<uint32_t>(1 + rng() % 8, page->size() - at);
-        for (uint32_t i = 0; i < n; ++i) {
-          page->data()[at + i] = static_cast<uint8_t>(rng());
-        }
-        g.MarkDirty();
-      }
-      const Status st =
-          index.QueryBatch(queries.data(), queries.size(), out.data());
-      // Bad bytes the reader rejects, or an id past the end of the file.
-      EXPECT_TRUE(st.ok() || st.code() == Status::Code::kCorruption ||
-                  st.code() == Status::Code::kNotFound)
-          << "round " << round << ": " << st.ToString();
-      failed += st.ok() ? 0 : 1;
-      {
-        PageGuard g;
-        ASSERT_TRUE(pool.Fetch(pid, &g).ok());
-        std::memcpy(g.page()->data(), saved.data(), saved.size());
-        g.MarkDirty();
-      }
-    }
-    EXPECT_GT(failed, 0);  // the mutations do reach the checks
+    ExpectStatusUnderMutation(&pool, file.page_count(), [&] {
+      return std::vector<Status>{
+          index.QueryBatch(queries.data(), queries.size(), out.data())};
+    });
   }
 }
 

@@ -2,9 +2,10 @@
 // dominance-sum correctness against the naive oracle across dimensions,
 // bulk-loaded and incrementally built trees (with pages small enough to force
 // leaf splits, index splits, k-d-B forced-split cascades and border spills),
-// split border maintenance, and storage accounting. The BaTree suite holds
-// the general BA-tree cases; the PackedBaTree suite holds the cases about
-// packed storage and further data sets for the same behaviours.
+// split border maintenance, storage accounting, and hostile node bytes. The
+// BaTree suite holds the general BA-tree cases; the PackedBaTree suite holds
+// the cases about packed storage and further data sets for the same
+// behaviours.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +14,8 @@
 #include "batree/packed_ba_tree.h"
 #include "core/box_sum_index.h"
 #include "core/naive.h"
+#include "hostile_bytes.h"
+#include "obs/query_obs.h"
 #include "poly/poly2.h"
 #include "storage/buffer_pool.h"
 #include "workload/generators.h"
@@ -416,6 +419,72 @@ TEST(BaTree, MassiveCoalescingKeepsOneEntry) {
   double s;
   ASSERT_TRUE(tree.DominanceSum(Point(3, 4), &s).ok());
   EXPECT_EQ(s, 500.0);
+}
+
+// Hostile bytes (tests/hostile_bytes.h): each round's query batch and
+// audits must return a Status. The 2-d trees keep their borders inline; the
+// 3-d tree's probes reach spilled 2-d borders. The Debug + ASan CI job runs
+// this test.
+/// The query batch, then the audit of every tree (structure only: the
+/// batch already covers the descent), as the statuses of one round.
+template <class Tree, class Query>
+std::vector<Status> QueryAndAudit(const std::vector<const Tree*>& trees,
+                                  Query query) {
+  std::vector<Status> out{query()};
+  for (const Tree* t : trees) {
+    CheckContext ctx;
+    ctx.check_oracle = false;
+    out.push_back(t->CheckConsistency(&ctx));
+  }
+  return out;
+}
+
+TEST(PackedBaTree, HostileNodeBytesYieldStatusNotCrash) {
+  {
+    SCOPED_TRACE("2-d, inline borders");
+    workload::RectConfig rc;
+    rc.n = 1000;
+    rc.seed = 71;
+    const auto queries = workload::QueryBoxes(48, 0.01, 72);
+    MemPageFile file(1024);
+    BufferPool pool(&file, 4096);
+    BoxSumIndex<PackedBaTree<double>> index(
+        2, [&] { return PackedBaTree<double>(&pool, 2); });
+    ASSERT_TRUE(index.BulkLoad(workload::UniformRects(rc)).ok());
+    std::vector<const PackedBaTree<double>*> trees;
+    for (uint32_t s = 0; s < index.index_count(); ++s) {
+      trees.push_back(&index.index(s));
+    }
+    std::vector<double> out(queries.size());
+    auto query = [&] {
+      return index.QueryBatch(queries.data(), queries.size(), out.data());
+    };
+    ASSERT_TRUE(query().ok());
+    ExpectStatusUnderMutation(&pool, file.page_count(),
+                              [&] { return QueryAndAudit(trees, query); });
+  }
+  {
+    SCOPED_TRACE("3-d, spilled 2-d borders");
+    MemPageFile file(1024);
+    BufferPool pool(&file, 4096);
+    PackedBaTree<double> tree(&pool, 3);
+    ASSERT_TRUE(tree.BulkLoad(RandomPoints(1000, 3, 73)).ok());
+    const std::vector<Point> qs = RandomQueries(48, 3, 74);
+    std::vector<double> out(qs.size());
+    auto query = [&] {
+      return tree.DominanceSumBatch(qs.data(), qs.size(), out.data());
+    };
+    obs::QueryObs query_obs;
+    obs::InstallQueryObs(&query_obs);
+    const Status intact = query();
+    obs::InstallQueryObs(nullptr);
+    ASSERT_TRUE(intact.ok()) << intact.ToString();
+    ASSERT_GT(query_obs.Snapshot().border_probes, 0u);
+    ExpectStatusUnderMutation(&pool, file.page_count(), [&] {
+      return QueryAndAudit(std::vector<const PackedBaTree<double>*>{&tree},
+                           query);
+    });
+  }
 }
 
 }  // namespace

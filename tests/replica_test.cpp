@@ -1,8 +1,9 @@
 // Compact read-replica tests (src/replica/): snapshot fidelity against the
 // live trees and the naive oracle across dimensions, build modes, and data
 // skew; strip codec round-trips; structural self-checks against injected
-// byte corruption (in-pool and through a real .bag file via fsck); hostile
-// node bytes under a re-sealed crc; the immutability contract; and the
+// byte corruption (in-pool and through a real .bag file via fsck); a
+// source leaf count past the page; hostile node bytes under a re-sealed
+// crc; the immutability contract; and the
 // descent's zero-heap-allocation guarantee.
 // The target links tests/count_new.cc, whose counting global operator new
 // observes every allocation in the process (same idiom as arena_test.cpp).
@@ -431,6 +432,51 @@ TEST(ReplicaTest, FsckRecognizesAndChecksReplicaRoots) {
   EXPECT_EQ(corrupt.code(), Status::Code::kCorruption) << corrupt.ToString();
   EXPECT_EQ(report.root_errors.size(), 1u);
   std::remove(path.c_str());
+}
+
+// A source leaf whose count field claims 0xFFFF entries. The builder reads
+// the source through the trees' checked node readers, so the build fails
+// with Corruption instead of reading past the page.
+TEST(ReplicaTest, BuildRejectsASourceLeafCountPastThePage) {
+  MemPageFile file(1024);
+  BufferPool pool(&file, 4096);
+  PackedBaTree<double> live(&pool, 2);
+  ASSERT_TRUE(live.BulkLoad(MakeEntries(2, 2000, false, 81)).ok());
+  ReplicaBuilder<double> builder(&pool);
+  // Type 5 is a BA-tree leaf, type 1 an aggregate B+-tree leaf of a spilled
+  // border; both keep a u16 type at byte 0 and a u32 count at byte 4.
+  for (uint16_t type : {uint16_t{5}, uint16_t{1}}) {
+    SCOPED_TRACE(type);
+    PageId leaf = kInvalidPageId;
+    for (PageId pid = 0; pid < file.page_count(); ++pid) {
+      PageGuard g;
+      ASSERT_TRUE(pool.Fetch(pid, &g).ok());
+      if (g.page()->ReadAt<uint16_t>(0) == type) {
+        leaf = pid;
+        break;
+      }
+    }
+    ASSERT_NE(leaf, kInvalidPageId);
+    uint32_t count = 0;
+    {
+      PageGuard g;
+      ASSERT_TRUE(pool.Fetch(leaf, &g).ok());
+      count = g.page()->ReadAt<uint32_t>(4);
+      g.page()->WriteAt<uint32_t>(4, 0xFFFF);
+      g.MarkDirty();
+    }
+    PageId root = kInvalidPageId;
+    const Status st = builder.Build(live, &root);
+    EXPECT_EQ(st.code(), Status::Code::kCorruption) << st.ToString();
+    {
+      PageGuard g;
+      ASSERT_TRUE(pool.Fetch(leaf, &g).ok());
+      g.page()->WriteAt<uint32_t>(4, count);
+      g.MarkDirty();
+    }
+  }
+  PageId root = kInvalidPageId;
+  EXPECT_TRUE(builder.Build(live, &root).ok());
 }
 
 // ---------------------------------------------------------------------------
